@@ -11,7 +11,6 @@ from .metric_core import (
     mabs,
     dist_pos_vec,
     dist_exp,
-    dist_product,
     dist_function_sup,
     dist_segment,
     ball_contains,
@@ -36,7 +35,7 @@ from .verifier import verify_axioms, verify_contraction, AxiomReport, Contractio
 __all__ = [
     "MulDistance", "PosVec", "RealVec", "ComplexVec", "SampledPosFunction",
     "SegmentPoint", "MulBall", "mabs", "dist_pos_vec", "dist_exp",
-    "dist_product", "dist_function_sup", "dist_segment", "ball_contains",
+    "dist_function_sup", "dist_segment", "ball_contains",
     "reverse_triangle_gap", "SpaceInstance", "SelfMap", "ContractionSpec",
     "SolverReport", "IterationTrace", "banach_solve", "ball_solve",
     "power_solve", "kannan_solve", "chatterjea_solve", "estimate_lambda",

@@ -7,7 +7,9 @@ non-convergence, 4 verification refuted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import operator
 import sys
 
 from . import fixed_point as fp
@@ -55,41 +57,18 @@ def trace_to_dict(report: fp.SolverReport) -> dict:
     }
 
 
-def axiom_report_to_dict(report) -> dict:
-    return {
-        "m1_ok": report.m1_ok,
-        "m2_ok": report.m2_ok,
-        "m3_ok": report.m3_ok,
-        "reverse_ok": report.reverse_ok,
-        "witnesses": [
-            {"axiom": w.axiom,
-             "points": [_encode_value(p) for p in w.points],
-             "values": list(w.values)}
-            for w in report.witnesses
-        ],
-        "samples_used": report.samples_used,
-        "seed": report.seed,
-        "slack_log": report.slack_log,
-        "sampled_not_proved": report.sampled_not_proved,
-    }
-
-
-def contraction_report_to_dict(report) -> dict:
-    return {
-        "kind": report.kind,
-        "lambda": report.lam,
-        "condition_ok": report.condition_ok,
-        "witnesses": [
-            {"kind": w.axiom,
-             "points": [_encode_value(p) for p in w.points],
-             "values": list(w.values)}
-            for w in report.witnesses
-        ],
-        "samples_used": report.samples_used,
-        "seed": report.seed,
-        "slack_log": report.slack_log,
-        "sampled_not_proved": report.sampled_not_proved,
-    }
+def report_to_dict(report) -> dict:
+    """Encode a verifier report by walking its dataclass fields in order."""
+    out = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if f.name == "witnesses":
+            value = [{report.witness_key: w.axiom,
+                      "points": [_encode_value(p) for p in w.points],
+                      "values": list(w.values)}
+                     for w in value]
+        out[f.metadata.get("key", f.name)] = value
+    return out
 
 
 def _write_json(payload: dict, out: str | None):
@@ -101,37 +80,32 @@ def _write_json(payload: dict, out: str | None):
         print(text)
 
 
-def _load_problem(args) -> reg.ProblemDefinition:
-    if args.problem:
-        if args.problem in reg.REGISTRY:
-            return reg.REGISTRY[args.problem].problem
-        with open(args.problem) as fh:
-            return reg.parse_problem(fh.read())
-    kwargs = dict(
-        space_id=args.space or "pos-reals",
-        map_id=args.map,
-        expr=args.expr,
-        kind=args.kind or "banach",
-        lam=args.lam if args.lam is not None else 0.5,
-        seed=args.seed,
-    )
+#: problem fields an explicit flag sets, on registry, file and inline problems alike
+OVERRIDES = ("kind", "lam", "tol_log", "max_iter", "dim", "base", "lo", "hi")
+
+
+def _given(args, names) -> dict:
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _load_problem(args) -> tuple[reg.ProblemDefinition, spaces.SelfMap]:
+    """The problem the flags describe, and its map built on its space."""
+    given = _given(args, OVERRIDES)
     if args.x0 is not None:
-        kwargs["x0"] = tuple(float(c) for c in args.x0.split(","))
-    if args.tol_log is not None:
-        kwargs["tol_log"] = args.tol_log
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    for name in ("dim", "base", "lo", "hi"):
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value
-    return reg.ProblemDefinition(**kwargs)
+        given["x0"] = reg.parse_value("x0", args.x0)
+    if not args.problem:
+        pd = reg.ProblemDefinition(space_id=args.space or "pos-reals", map_id=args.map,
+                                   expr=args.expr, seed=args.seed, **given)
+    elif args.problem in reg.REGISTRY:
+        pd = dataclasses.replace(reg.REGISTRY[args.problem].problem, **given)
+    else:
+        with open(args.problem) as fh:
+            pd = dataclasses.replace(reg.parse_problem(fh.read()), **given)
+    return pd, reg.build_selfmap(pd, reg.build_space(pd))
 
 
 def cmd_solve(args) -> int:
-    pd = _load_problem(args)
-    space = reg.build_space(pd)
-    map_ = reg.build_selfmap(pd, space)
+    pd, map_ = _load_problem(args)
     x0 = reg.decode_point(pd, pd.x0)
     spec = fp.ContractionSpec(pd.kind, pd.lam)
     report = fp.solve(map_, x0, spec, pd.tol_log, pd.max_iter)
@@ -143,50 +117,34 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _emit_report(report, ok: bool, out: str | None) -> int:
+    _write_json(report_to_dict(report), out)
+    return EXIT_OK if ok else EXIT_REFUTED
+
+
 def _verify_space(args) -> int:
-    if args.space == "d-star":
-        sp = spaces.positive_vectors(args.dim or 1)
-    elif args.space == "d-a":
-        sp = spaces.exp_metric(args.dim or 1, args.base or 2.0,
-                               complex_coords=args.complex)
-    elif args.space == "segment":
-        sp = spaces.segment_space()
-    elif args.space == "func-sup":
-        sp = spaces.function_space(args.lo if args.lo is not None else 0.0,
-                                   args.hi if args.hi is not None else 1.0)
-    elif args.space == "product-pos":
-        inner = spaces.positive_reals()
-        sp = spaces.product_space(inner, inner)
-    elif args.space == "pos-reals":
-        sp = spaces.positive_reals()
-    else:
-        raise MulMetricError(f"unknown space {args.space!r}")
+    sp = spaces.build(args.space, complex_coords=args.complex,
+                      **_given(args, ("dim", "base", "lo", "hi")))
     report = verify_axioms(sp.dist, sp.sample, args.samples, args.seed,
                            points_equal=sp.points_equal)
-    _write_json(axiom_report_to_dict(report), args.out)
-    return EXIT_OK if report.all_ok else EXIT_REFUTED
+    return _emit_report(report, report.all_ok, args.out)
 
 
 def _verify_expr_dist(args) -> int:
     dist = compile_expr(args.expr_dist, ("x", "y"))
     lo = args.lo if args.lo is not None else -5.0
     hi = args.hi if args.hi is not None else 5.0
+    # scalar samples: distinct floats are distinct points
     report = verify_axioms(dist, lambda rng: rng.uniform(lo, hi),
-                           args.samples, args.seed)
-    _write_json(axiom_report_to_dict(report), args.out)
-    return EXIT_OK if report.all_ok else EXIT_REFUTED
+                           args.samples, args.seed, points_equal=operator.eq)
+    return _emit_report(report, report.all_ok, args.out)
 
 
 def _verify_contraction(args) -> int:
-    pd = _load_problem(args)
-    space = reg.build_space(pd)
-    map_ = reg.build_selfmap(pd, space)
-    lam = args.lam if args.lam is not None else pd.lam
-    kind = args.kind or pd.kind
-    report = verify_contraction(map_, space.dist, kind, lam,
-                                space.sample, args.samples, args.seed)
-    _write_json(contraction_report_to_dict(report), args.out)
-    return EXIT_OK if report.condition_ok else EXIT_REFUTED
+    pd, map_ = _load_problem(args)
+    report = verify_contraction(map_, map_.space.dist, pd.kind, pd.lam,
+                                map_.space.sample, args.samples, args.seed)
+    return _emit_report(report, report.condition_ok, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -201,11 +159,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    pd = _load_problem(args)
-    space = reg.build_space(pd)
-    map_ = reg.build_selfmap(pd, space)
-    kind = args.kind or pd.kind
-    lambda_hat, witness = fp.estimate_lambda(map_, args.pairs, kind, args.seed)
+    pd, map_ = _load_problem(args)
+    lambda_hat, witness = fp.estimate_lambda(map_, args.pairs, pd.kind, args.seed)
     print(f"{lambda_hat!r}")
     if args.verbose:
         print(f"witness pair: {witness}", file=sys.stderr)
@@ -231,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", help="registry id or problem file path")
         p.add_argument("--map", help="named map from the registry")
         p.add_argument("--expr", help="closed-form scalar map f(x)")
-        p.add_argument("--space", help="space id (pos-reals, pos-interval, d-star, "
-                                       "d-a, real-line-exp, segment, func-sup, product-pos)")
+        p.add_argument("--space", help=f"space id ({', '.join(reg.SPACE_IDS)})")
         p.add_argument("--dim", type=int)
         p.add_argument("--base", type=float)
         p.add_argument("--lo", type=float)

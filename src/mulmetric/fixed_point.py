@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 from .errors import (
     EstimationError,
@@ -84,7 +85,6 @@ class SolverReport:
     iterations: int
     converged: bool
     trace: IterationTrace
-    uniqueness: Optional["UniquenessProbe"] = None
 
 
 @dataclass
@@ -93,6 +93,18 @@ class UniquenessProbe:
     failures: list           # (start index, reason)
     max_pairwise_log: float
     ok: bool
+
+
+def contraction_logs(kind: str, dist: Callable, x, y, fx, fy,
+                     log: Callable = attrgetter("log_value")) -> tuple[float, float]:
+    """ln d(fx, fy) and the log quantity lambda multiplies in the kind's
+    condition (see the module docstring); `log` reads one distance's log."""
+    lhs = log(dist(fx, fy))
+    if kind == "banach":
+        return lhs, log(dist(x, y))
+    if kind == "kannan":
+        return lhs, log(dist(fx, x)) + log(dist(fy, y))
+    return lhs, log(dist(fx, y)) + log(dist(fy, x))
 
 
 def apriori_bound(d10_log: float, rate: float, n: int) -> float:
@@ -154,13 +166,17 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
     return SolverReport(x, residual_log, max_iter, False, trace)
 
 
+def _require_kind(spec: ContractionSpec, kind: str, solver: str):
+    if spec.kind != kind:
+        raise InputError(f"{solver} requires a {kind} spec, got {spec.kind}")
+
+
 def banach_solve(map_: SelfMap, x0, spec: ContractionSpec,
                  tol_log: float = DEFAULT_TOL_LOG,
                  max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
     """Picard iteration under the multiplicative Banach condition."""
-    if spec.kind != "banach":
-        raise InputError(f"banach_solve requires a banach spec, got {spec.kind}")
-    return _picard(map_, x0, spec.rate, tol_log, max_iter)
+    _require_kind(spec, "banach", "banach_solve")
+    return solve(map_, x0, spec, tol_log, max_iter)
 
 
 def ball_solve(map_: SelfMap, x0, epsilon: float, spec: ContractionSpec,
@@ -173,8 +189,7 @@ def ball_solve(map_: SelfMap, x0, epsilon: float, spec: ContractionSpec,
     so every iterate is checked against the ball and a breach flags a wrong
     lambda.
     """
-    if spec.kind != "banach":
-        raise InputError(f"ball_solve requires a banach spec, got {spec.kind}")
+    _require_kind(spec, "banach", "ball_solve")
     if not (epsilon > 1):
         raise InputError(f"epsilon must exceed 1, got {epsilon}")
     space = map_.space
@@ -213,36 +228,28 @@ def power_solve(map_: SelfMap, n_power: int, spec: ContractionSpec, x0,
     return report
 
 
-def _generalized_solve(map_: SelfMap, x0, spec: ContractionSpec, kind: str,
-                       tol_log: float, max_iter: int) -> SolverReport:
-    if spec.kind != kind:
-        raise InputError(f"{kind}_solve requires a {kind} spec, got {spec.kind}")
-    return _picard(map_, x0, spec.rate, tol_log, max_iter)
-
-
 def kannan_solve(map_: SelfMap, x0, spec: ContractionSpec,
                  tol_log: float = DEFAULT_TOL_LOG,
                  max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
     """Picard iteration under the Kannan-type condition (rate h = lam/(1-lam))."""
-    return _generalized_solve(map_, x0, spec, "kannan", tol_log, max_iter)
+    _require_kind(spec, "kannan", "kannan_solve")
+    return solve(map_, x0, spec, tol_log, max_iter)
 
 
 def chatterjea_solve(map_: SelfMap, x0, spec: ContractionSpec,
                      tol_log: float = DEFAULT_TOL_LOG,
                      max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
     """Picard iteration under the Chatterjea-type condition (same rate h)."""
-    return _generalized_solve(map_, x0, spec, "chatterjea", tol_log, max_iter)
+    _require_kind(spec, "chatterjea", "chatterjea_solve")
+    return solve(map_, x0, spec, tol_log, max_iter)
 
 
 def solve(map_: SelfMap, x0, spec: ContractionSpec,
           tol_log: float = DEFAULT_TOL_LOG,
           max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
-    """Dispatch on the contraction kind."""
-    if spec.kind == "banach":
-        return banach_solve(map_, x0, spec, tol_log, max_iter)
-    if spec.kind == "kannan":
-        return kannan_solve(map_, x0, spec, tol_log, max_iter)
-    return chatterjea_solve(map_, x0, spec, tol_log, max_iter)
+    """Picard iteration at the spec's per-step rate; every kind drives the
+    same geometric step chain."""
+    return _picard(map_, x0, spec.rate, tol_log, max_iter)
 
 
 def estimate_lambda(map_: SelfMap, n_pairs: int, kind: str = "banach",
@@ -250,28 +257,21 @@ def estimate_lambda(map_: SelfMap, n_pairs: int, kind: str = "banach",
                     sampler: Callable | None = None) -> tuple[float, tuple]:
     """Empirical contraction constant: max log-ratio over sampled pairs.
 
-    The denominator depends on the kind: d(x, y) for banach,
-    d(fx, x) * d(fy, y) for kannan, d(fx, y) * d(fy, x) for chatterjea.
-    Pairs whose denominator is numerically zero are skipped.
+    The ratio is the two sides of `contraction_logs`; pairs whose
+    denominator is numerically zero are skipped.
     """
     if n_pairs < 1:
         raise InputError("n_pairs must be >= 1")
     if kind not in KINDS:
         raise InputError(f"unknown contraction kind {kind!r}")
-    space = map_.space
-    draw = sampler or space.sample
+    dist = map_.space.dist
+    draw = sampler or map_.space.sample
     rng = random.Random(seed)
     best, witness = None, None
     for _ in range(n_pairs):
         x, y = draw(rng), draw(rng)
         fx, fy = map_(x), map_(y)
-        num = space.dist(fx, fy).log_value
-        if kind == "banach":
-            den = space.dist(x, y).log_value
-        elif kind == "kannan":
-            den = space.dist(fx, x).log_value + space.dist(fy, y).log_value
-        else:
-            den = space.dist(fx, y).log_value + space.dist(fy, x).log_value
+        num, den = contraction_logs(kind, dist, x, y, fx, fy)
         if den <= 1e-12:
             continue
         ratio = num / den

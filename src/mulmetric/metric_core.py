@@ -43,9 +43,6 @@ class MulDistance:
         """The plain distance d = e^rho (may overflow for huge rho)."""
         return math.exp(self.log_value)
 
-    def is_identity(self, tol_log: float = POINT_EQ_TOL_LOG) -> bool:
-        return self.log_value <= tol_log
-
     def __mul__(self, other: "MulDistance") -> "MulDistance":
         # multiplicative product = additive in log domain
         return MulDistance(self.log_value + other.log_value)
@@ -54,62 +51,42 @@ class MulDistance:
 # ---------------------------------------------------------------------------
 # point containers
 
-def _check_coords(coords, positive: bool):
-    if len(coords) < 1:
-        raise ShapeError("coordinate vector must have length >= 1")
-    if positive and any(not (c > 0) for c in coords):
-        raise DomainError(f"coordinates must be strictly positive: {coords}")
-
-
 @dataclass(frozen=True)
-class PosVec:
+class CoordVector:
+    """A point given by a coordinate vector; each subclass fixes the scalar
+    type and whether coordinates must be strictly positive."""
+
+    coords: tuple
+
+    def __init_subclass__(cls, scalar=float, positive=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.scalar, cls.positive = scalar, positive
+
+    def __post_init__(self):
+        coords = tuple(map(self.scalar, self.coords))
+        object.__setattr__(self, "coords", coords)
+        if len(coords) < 1:
+            raise ShapeError("coordinate vector must have length >= 1")
+        if self.positive and any(not (c > 0) for c in coords):
+            raise DomainError(f"coordinates must be strictly positive: {coords}")
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    def __len__(self):
+        return len(self.coords)
+
+
+class PosVec(CoordVector, scalar=float, positive=True):
     """A point of R_+^n (all coordinates strictly positive)."""
 
-    coords: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        _check_coords(self.coords, positive=True)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
-class RealVec:
+class RealVec(CoordVector, scalar=float):
     """A point of R^n."""
 
-    coords: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        _check_coords(self.coords, positive=False)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
-class ComplexVec:
+class ComplexVec(CoordVector, scalar=complex):
     """A point of C^n."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
-        _check_coords(self.coords, positive=False)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -164,7 +141,7 @@ class SegmentPoint:
 
 def _coords(x) -> Sequence:
     """Accept a typed vector or any bare sequence of coordinates."""
-    if isinstance(x, (PosVec, RealVec, ComplexVec)):
+    if isinstance(x, CoordVector):
         return x.coords
     if isinstance(x, (int, float, complex)):
         return (x,)
@@ -199,11 +176,6 @@ def dist_exp(x, y, base: float) -> MulDistance:
     if len(xc) != len(yc):
         raise ShapeError(f"length mismatch: {len(xc)} vs {len(yc)}")
     return MulDistance(math.log(base) * sum(abs(a - b) for a, b in zip(xc, yc)))
-
-
-def dist_product(d1: MulDistance, d2: MulDistance) -> MulDistance:
-    """Product metric on a pair space: distances multiply (logs add)."""
-    return MulDistance(d1.log_value + d2.log_value)
 
 
 def dist_function_sup(f: SampledPosFunction, g: SampledPosFunction) -> MulDistance:

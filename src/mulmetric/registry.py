@@ -19,8 +19,7 @@ from .expressions import compile_expr
 from .metric_core import PosVec, SegmentPoint
 from .spaces import SelfMap, SpaceInstance
 
-SPACE_IDS = ("pos-reals", "pos-interval", "d-star", "d-a", "real-line-exp",
-             "segment", "func-sup", "product-pos")
+SPACE_IDS = tuple(spaces.SPACES)
 
 
 @dataclass(frozen=True)
@@ -69,28 +68,7 @@ MAP_FNS = {
 
 
 def build_space(pd: ProblemDefinition) -> SpaceInstance:
-    if pd.space_id == "pos-reals":
-        return spaces.positive_reals()
-    if pd.space_id == "pos-interval":
-        if pd.lo is None or pd.hi is None:
-            raise InputError("pos-interval needs lo and hi")
-        return spaces.positive_interval(pd.lo, pd.hi)
-    if pd.space_id == "d-star":
-        return spaces.positive_vectors(pd.dim)
-    if pd.space_id == "d-a":
-        return spaces.exp_metric(pd.dim, pd.base)
-    if pd.space_id == "real-line-exp":
-        return spaces.real_line_exp()
-    if pd.space_id == "segment":
-        return spaces.segment_space()
-    if pd.space_id == "func-sup":
-        lo = pd.lo if pd.lo is not None else 0.0
-        hi = pd.hi if pd.hi is not None else 1.0
-        return spaces.function_space(lo, hi)
-    if pd.space_id == "product-pos":
-        inner = spaces.positive_reals()
-        return spaces.product_space(inner, inner)
-    raise InputError(f"unknown space id {pd.space_id!r}")
+    return spaces.build(pd.space_id, pd.dim, pd.base, pd.lo, pd.hi)
 
 
 def build_selfmap(pd: ProblemDefinition, space: SpaceInstance | None = None) -> SelfMap:
@@ -142,6 +120,20 @@ def serialize_problem(pd: ProblemDefinition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_value(key: str, text: str):
+    """Convert the text of one problem value to the type of its key."""
+    try:
+        if key == "x0":
+            return tuple(float(c) for c in text.split(","))
+        if key in ("dim", "max_iter", "seed"):
+            return int(text)
+        if key in ("base", "lo", "hi", "lam", "tol_log"):
+            return float(text)
+    except ValueError:
+        raise InputError(f"bad value for {key}: {text!r}") from None
+    return text
+
+
 def parse_problem(text: str) -> ProblemDefinition:
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -152,19 +144,12 @@ def parse_problem(text: str) -> ProblemDefinition:
             raise InputError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         raw[key] = value
-    known = {f.name: f for f in fields(ProblemDefinition)}
+    known = {f.name for f in fields(ProblemDefinition)}
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
             raise InputError(f"unknown problem key {key!r}")
-        if key == "x0":
-            kwargs[key] = tuple(float(c) for c in value.split(","))
-        elif key in ("dim", "max_iter", "seed"):
-            kwargs[key] = int(value)
-        elif key in ("base", "lo", "hi", "lam", "tol_log"):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        kwargs[key] = parse_value(key, value)
     try:
         return ProblemDefinition(**kwargs)
     except TypeError as exc:

@@ -17,7 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import metric_core as mc
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .metric_core import (
     MulDistance,
     PosVec,
@@ -39,13 +39,9 @@ class SpaceInstance:
     name: str
     dist: DistFn
     sample: SamplerFn
-    eq_tol_log: float = mc.POINT_EQ_TOL_LOG
-
-    def distance(self, p: Point, q: Point) -> MulDistance:
-        return self.dist(p, q)
 
     def points_equal(self, p: Point, q: Point) -> bool:
-        return self.dist(p, q).log_value <= self.eq_tol_log
+        return self.dist(p, q).log_value <= mc.POINT_EQ_TOL_LOG
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,10 @@ class SelfMap:
     space: SpaceInstance
 
     def __call__(self, p: Point) -> Point:
-        return self.fn(p)
+        try:
+            return self.fn(p)
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise DomainError(f"map {self.name} is undefined at {p!r}: {exc}") from None
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -71,13 +70,18 @@ def positive_reals(lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:
         raise DomainError("need 0 < lo < hi for the sampler range")
 
     def dist(x, y):
-        return MulDistance(abs(math.log(x) - math.log(y)))
+        try:
+            return MulDistance(abs(math.log(x) - math.log(y)))
+        except (ValueError, TypeError):
+            raise DomainError(f"points of R_+ must be positive reals: {x!r}, {y!r}") from None
 
     return SpaceInstance("pos-reals", dist, lambda rng: _log_uniform(rng, lo, hi))
 
 
 def positive_interval(lo: float, hi: float) -> SpaceInstance:
     """A closed subinterval of R_+ under |.|* (complete: it is closed)."""
+    if lo is None or hi is None:
+        raise InputError("pos-interval needs lo and hi")
     sp = positive_reals(lo, hi)
     return SpaceInstance(f"pos-interval[{lo},{hi}]", sp.dist, sp.sample)
 
@@ -130,7 +134,7 @@ def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
     """Pair space with the product metric rho = d1 * d2; points are 2-tuples."""
 
     def dist(p, q):
-        return mc.dist_product(s1.dist(p[0], q[0]), s2.dist(p[1], q[1]))
+        return s1.dist(p[0], q[0]) * s2.dist(p[1], q[1])
 
     def sample(rng: random.Random):
         return (s1.sample(rng), s2.sample(rng))
@@ -187,3 +191,26 @@ def segment_half_power_map(space: SpaceInstance | None = None) -> SelfMap:
         return SegmentPoint(math.sqrt(p.v), 1.0)
 
     return SelfMap("segment-half-power", fn, space)
+
+
+#: space id -> factory; each takes every keyword of `build` and uses its own
+SPACES = {
+    "pos-reals": lambda **_: positive_reals(),
+    "pos-interval": lambda lo, hi, **_: positive_interval(lo, hi),
+    "d-star": lambda dim, **_: positive_vectors(dim),
+    "d-a": lambda dim, base, complex_coords, **_: exp_metric(
+        dim, base, complex_coords=complex_coords),
+    "real-line-exp": lambda **_: real_line_exp(),
+    "segment": lambda **_: segment_space(),
+    "func-sup": lambda lo, hi, **_: function_space(0.0 if lo is None else lo,
+                                                   1.0 if hi is None else hi),
+    "product-pos": lambda **_: product_space(positive_reals(), positive_reals()),
+}
+
+
+def build(space_id: str, dim: int = 1, base: float = math.e, lo: float | None = None,
+          hi: float | None = None, complex_coords: bool = False) -> SpaceInstance:
+    """Build the space with the given id from the table above."""
+    if space_id not in SPACES:
+        raise InputError(f"unknown space id {space_id!r}")
+    return SPACES[space_id](dim=dim, base=base, lo=lo, hi=hi, complex_coords=complex_coords)

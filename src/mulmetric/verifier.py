@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Optional
 
 from .errors import InputError
-from .metric_core import MulDistance
+from .fixed_point import ContractionSpec, contraction_logs
+from .metric_core import POINT_EQ_TOL_LOG, MulDistance
 
 DEFAULT_SLACK_LOG = 1e-10
 
@@ -51,6 +52,7 @@ class AxiomReport:
     seed: int
     slack_log: float
     sampled_not_proved: bool = True
+    witness_key: ClassVar[str] = "axiom"
 
     @property
     def all_ok(self) -> bool:
@@ -60,13 +62,14 @@ class AxiomReport:
 @dataclass
 class ContractionReport:
     kind: str
-    lam: float
+    lam: float = field(metadata={"key": "lambda"})
     condition_ok: bool
     witnesses: list[Witness]
     samples_used: int
     seed: int
     slack_log: float
     sampled_not_proved: bool = True
+    witness_key: ClassVar[str] = "kind"
 
 
 def verify_axioms(distance: Callable, sampler: Callable, n_samples: int,
@@ -76,17 +79,13 @@ def verify_axioms(distance: Callable, sampler: Callable, n_samples: int,
 
     m1 is checked in both directions: d(x, x) must be 1, every sampled pair
     must have d >= 1, and (when a points_equal predicate is supplied) a
-    distance of 1 between distinct points is flagged.
+    distance within the point-equality tolerance between distinct points is
+    flagged.  A pair gets at most one m1 witness.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     rng = random.Random(seed)
-    m1_ok = m2_ok = m3_ok = reverse_ok = True
     witnesses: list[Witness] = []
-
-    def flag(axiom, points, values):
-        witnesses.append(Witness(axiom, points, values))
-
     for _ in range(n_samples):
         x, y, z = sampler(rng), sampler(rng), sampler(rng)
         dxy = _log_of(distance(x, y))
@@ -95,27 +94,21 @@ def verify_axioms(distance: Callable, sampler: Callable, n_samples: int,
         dyz = _log_of(distance(y, z))
         dxx = _log_of(distance(x, x))
 
-        if dxy < -slack_log:
-            m1_ok = False
-            flag("m1", (x, y), (dxy,))
+        if dxy < -slack_log or (points_equal is not None and dxy <= POINT_EQ_TOL_LOG
+                                and not points_equal(x, y)):
+            witnesses.append(Witness("m1", (x, y), (dxy,)))
         if abs(dxx) > slack_log:
-            m1_ok = False
-            flag("m1", (x, x), (dxx,))
-        if points_equal is not None and dxy <= slack_log and not points_equal(x, y):
-            m1_ok = False
-            flag("m1", (x, y), (dxy,))
+            witnesses.append(Witness("m1", (x, x), (dxx,)))
         if abs(dxy - dyx) > slack_log:
-            m2_ok = False
-            flag("m2", (x, y), (dxy, dyx))
+            witnesses.append(Witness("m2", (x, y), (dxy, dyx)))
         if dxz > dxy + dyz + slack_log:
-            m3_ok = False
-            flag("m3", (x, y, z), (dxz, dxy, dyz))
+            witnesses.append(Witness("m3", (x, y, z), (dxz, dxy, dyz)))
         if abs(dxz - dyz) > dxy + slack_log:
-            reverse_ok = False
-            flag("reverse", (x, y, z), (abs(dxz - dyz), dxy))
+            witnesses.append(Witness("reverse", (x, y, z), (abs(dxz - dyz), dxy)))
 
-    return AxiomReport(m1_ok, m2_ok, m3_ok, reverse_ok, witnesses,
-                       n_samples, seed, slack_log)
+    flagged = {w.axiom for w in witnesses}
+    return AxiomReport("m1" not in flagged, "m2" not in flagged, "m3" not in flagged,
+                       "reverse" not in flagged, witnesses, n_samples, seed, slack_log)
 
 
 def verify_contraction(map_: Callable, distance: Callable, kind: str, lam: float,
@@ -124,27 +117,16 @@ def verify_contraction(map_: Callable, distance: Callable, kind: str, lam: float
     """Test the contraction inequality of the given kind on sampled pairs."""
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    if kind not in ("banach", "kannan", "chatterjea"):
-        raise InputError(f"unknown contraction kind {kind!r}")
-    hi = 1.0 if kind == "banach" else 0.5
-    if not (0.0 <= lam < hi):
-        raise InputError(f"{kind} constant must lie in [0, {hi}), got {lam}")
+    spec = ContractionSpec(kind, lam)  # checks the kind and the range of lambda
 
     rng = random.Random(seed)
-    ok = True
     witnesses: list[Witness] = []
     for _ in range(n_samples):
         x, y = sampler(rng), sampler(rng)
         fx, fy = map_(x), map_(y)
-        lhs = _log_of(distance(fx, fy))
-        if kind == "banach":
-            rhs = lam * _log_of(distance(x, y))
-        elif kind == "kannan":
-            rhs = lam * (_log_of(distance(fx, x)) + _log_of(distance(fy, y)))
-        else:
-            rhs = lam * (_log_of(distance(fx, y)) + _log_of(distance(fy, x)))
+        lhs, q = contraction_logs(spec.kind, distance, x, y, fx, fy, _log_of)
+        rhs = spec.lam * q
         if lhs > rhs + slack_log:
-            ok = False
             witnesses.append(Witness(kind, (x, y), (lhs, rhs)))
 
-    return ContractionReport(kind, lam, ok, witnesses, n_samples, seed, slack_log)
+    return ContractionReport(kind, lam, not witnesses, witnesses, n_samples, seed, slack_log)

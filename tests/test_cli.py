@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 
 from mulmetric import cli
+from mulmetric.expressions import compile_expr
 from mulmetric.registry import (
     REGISTRY,
+    SPACE_IDS,
     ProblemDefinition,
     parse_problem,
     serialize_problem,
@@ -63,6 +66,34 @@ class TestSolve:
         run(["solve", "--problem", "paper-scalar", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_x0_overrides_registry_problem(self, tmp_path):
+        out = tmp_path / "trace.json"
+        assert run(["solve", "--problem", "paper-scalar", "--x0", "0.6",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["steps"][0]["point"] == [0.6]
+
+
+BAD_FILE = "bad-lambda.txt"
+
+
+class TestUsageErrors:
+    """Map and input errors exit 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--expr", "exp(x)", "--x0", "1000"],
+        ["solve", "--expr", "1/(x-1)", "--x0", "1"],
+        ["solve", "--expr", "ln(x)", "--x0", "0.5"],
+        ["solve", "--expr", "x/4", "--space", "d-star", "--dim", "2", "--x0", "1,2"],
+        ["solve", "--problem", BAD_FILE],
+    ], ids=["overflow", "zero-division", "log-domain", "vector-point", "bad-file-value"])
+    def test_exit_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / BAD_FILE).write_text("space_id = pos-reals\nmap_id = sqrt-toy\n"
+                                          "lam = abc\n")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_d_star_dim3(self, tmp_path):
@@ -100,6 +131,41 @@ class TestVerify:
 
     def test_nothing_to_verify(self):
         assert run(["verify"]) == 2
+
+    def test_constant_expr_dist_refuted(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["verify", "--expr-dist", "1", "--samples", "20", "--seed", "3",
+                    "--out", str(out)])
+        assert code == 4
+        report = json.loads(out.read_text())
+        assert not report["m1_ok"] and report["m2_ok"] and report["m3_ok"]
+        assert len(report["witnesses"]) == 20
+        dist = compile_expr("1", ("x", "y"))
+        for w in report["witnesses"]:
+            x, y = w["points"]
+            # replay: distinct points at log distance <= slack violate m1
+            assert w["axiom"] == "m1" and x != y
+            assert math.log(dist(x, y)) <= report["slack_log"]
+
+    def test_lambda_overrides_registry_problem(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--problem", "sqrt-toy", "--lambda", "0.4",
+                    "--samples", "200", "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert list(report)[:3] == ["kind", "lambda", "condition_ok"]
+        assert (report["kind"], report["lambda"]) == ("banach", 0.4)
+        assert report["witnesses"] and all(set(w) == {"kind", "points", "values"}
+                                           for w in report["witnesses"])
+
+    @pytest.mark.parametrize("space_id", SPACE_IDS)
+    def test_every_space_id(self, space_id, tmp_path):
+        bounds = ["--lo", "0.1", "--hi", "1"] if space_id == "pos-interval" else []
+        samples = "20" if space_id == "func-sup" else "200"
+        assert run(["verify", "--space", space_id, *bounds, "--samples", samples,
+                    "--out", str(tmp_path / "report.json")]) == 0
+
+    def test_zero_dim_rejected(self):
+        assert run(["verify", "--space", "d-star", "--dim", "0", "--samples", "5"]) == 2
 
 
 class TestEstimate:

@@ -16,7 +16,6 @@ from mulmetric import (
     dist_exp,
     dist_function_sup,
     dist_pos_vec,
-    dist_product,
     dist_segment,
     mabs,
     reverse_triangle_gap,
@@ -122,7 +121,7 @@ class TestDistExp:
 class TestDistProduct:
     @pytest.mark.parametrize("d1, d2, expected", [(1, 1, 1), (2, 3, 6), (4, 1, 4)])
     def test_products(self, d1, d2, expected):
-        out = dist_product(MulDistance.from_value(d1), MulDistance.from_value(d2))
+        out = MulDistance.from_value(d1) * MulDistance.from_value(d2)
         assert out.value == pytest.approx(expected, rel=1e-14)
 
 

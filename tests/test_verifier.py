@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
 from mulmetric import spaces
 from mulmetric.errors import InputError
+from mulmetric.metric_core import PosVec
 from mulmetric.verifier import verify_axioms, verify_contraction
 
 
@@ -52,6 +54,16 @@ class TestVerifyAxioms:
         lhs = math.log(euclid_square_exp(0, 2))
         rhs = math.log(euclid_square_exp(0, 1)) + math.log(euclid_square_exp(1, 2))
         assert lhs > rhs
+
+    def test_close_distinct_points_not_refuted(self):
+        # ln d = 5e-11 lies above the point-equality tolerance: the points
+        # are distinct and d > 1, so m1 holds
+        sp = spaces.positive_vectors(1)
+        points = itertools.cycle([PosVec((1.0,)), PosVec((1.0 + 5e-11,))])
+        report = verify_axioms(sp.dist, lambda rng: next(points), 10, seed=0,
+                               points_equal=sp.points_equal)
+        assert report.m1_ok
+        assert report.witnesses == []
 
     def test_replay_determinism(self):
         sp = spaces.positive_vectors(2)
