@@ -11,7 +11,7 @@ import ast
 import math
 from typing import Callable, Sequence
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 _FUNCTIONS = {
     "exp": math.exp,
@@ -31,19 +31,34 @@ _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 
 
 def compile_expr(text: str, variables: Sequence[str] = ("x",)) -> Callable:
-    """Compile an expression into a function of the given variables."""
+    """Compile the validated tree, constants made floats, once into a function
+    of the given variables; a failing or complex call raises DomainError."""
     source = text.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")
+        _validate(tree.body, set(variables))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
     except SyntaxError as exc:
         raise InputError(f"cannot parse expression {text!r}: {exc}") from exc
-    _validate(tree.body, set(variables))
+    except (RecursionError, MemoryError, OverflowError) as exc:
+        raise InputError(f"expression {text!r} is too deep or too large: {exc!r}") from None
+    code = compile(tree, f"<expr {text}>", "eval")
+    scope = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
 
     def fn(*args):
         if len(args) != len(variables):
             raise InputError(f"expression takes {len(variables)} argument(s)")
         env = dict(zip(variables, args))
-        return _eval(tree.body, env)
+        try:
+            value = eval(code, scope, env)
+            if isinstance(value, complex):
+                raise ValueError(f"complex result {value!r}")
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            at = ", ".join(f"{k} = {v!r}" for k, v in env.items())
+            raise DomainError(f"expression {text!r} is undefined at {at}: {exc}") from exc
+        return value
 
     fn.__name__ = f"expr({text})"
     return fn
@@ -69,27 +84,3 @@ def _validate(node: ast.AST, names: set):
         _validate(node.args[0], names)
     else:
         raise InputError(f"unsupported syntax: {ast.dump(node)}")
-
-
-def _eval(node: ast.AST, env: dict) -> float:
-    if isinstance(node, ast.Constant):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        return env[node.id] if node.id in env else _CONSTANTS[node.id]
-    if isinstance(node, ast.BinOp):
-        a, b = _eval(node.left, env), _eval(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return a + b
-        if isinstance(node.op, ast.Sub):
-            return a - b
-        if isinstance(node.op, ast.Mult):
-            return a * b
-        if isinstance(node.op, ast.Div):
-            return a / b
-        return a ** b
-    if isinstance(node, ast.UnaryOp):
-        v = _eval(node.operand, env)
-        return v if isinstance(node.op, ast.UAdd) else -v
-    if isinstance(node, ast.Call):
-        return _FUNCTIONS[node.func.id](_eval(node.args[0], env))
-    raise InputError(f"unsupported syntax: {ast.dump(node)}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     InvariantBreachError,
     PreconditionError,
 )
-from .spaces import SelfMap, SpaceInstance
+from .spaces import SelfMap
 
 DEFAULT_TOL_LOG = 1e-12
 DEFAULT_MAX_ITER = 10**6
@@ -95,16 +94,15 @@ class UniquenessProbe:
     ok: bool
 
 
-def contraction_logs(kind: str, dist: Callable, x, y, fx, fy,
-                     log: Callable = attrgetter("log_value")) -> tuple[float, float]:
+def contraction_logs(kind: str, dist: Callable, x, y, fx, fy) -> tuple[float, float]:
     """ln d(fx, fy) and the log quantity lambda multiplies in the kind's
-    condition (see the module docstring); `log` reads one distance's log."""
-    lhs = log(dist(fx, fy))
+    condition (see the module docstring)."""
+    lhs = dist(fx, fy).log_value
     if kind == "banach":
-        return lhs, log(dist(x, y))
+        return lhs, dist(x, y).log_value
     if kind == "kannan":
-        return lhs, log(dist(fx, x)) + log(dist(fy, y))
-    return lhs, log(dist(fx, y)) + log(dist(fy, x))
+        return lhs, dist(fx, x).log_value + dist(fy, y).log_value
+    return lhs, dist(fx, y).log_value + dist(fy, x).log_value
 
 
 def apriori_bound(d10_log: float, rate: float, n: int) -> float:
@@ -253,8 +251,7 @@ def solve(map_: SelfMap, x0, spec: ContractionSpec,
 
 
 def estimate_lambda(map_: SelfMap, n_pairs: int, kind: str = "banach",
-                    seed: int = 0,
-                    sampler: Callable | None = None) -> tuple[float, tuple]:
+                    seed: int = 0) -> tuple[float, tuple]:
     """Empirical contraction constant: max log-ratio over sampled pairs.
 
     The ratio is the two sides of `contraction_logs`; pairs whose
@@ -264,8 +261,7 @@ def estimate_lambda(map_: SelfMap, n_pairs: int, kind: str = "banach",
         raise InputError("n_pairs must be >= 1")
     if kind not in KINDS:
         raise InputError(f"unknown contraction kind {kind!r}")
-    dist = map_.space.dist
-    draw = sampler or map_.space.sample
+    dist, draw = map_.space.dist, map_.space.sample
     rng = random.Random(seed)
     best, witness = None, None
     for _ in range(n_pairs):

@@ -9,12 +9,12 @@ throughout, so "d < eps" is tested as "ln d < ln eps".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import InputError
 from .metric_core import MulDistance, mabs
-from .spaces import SpaceInstance
+from .spaces import SpaceInstance, real_line_exp
 
 TAIL_FRACTION = 0.25
 MIN_TAIL_WINDOW = 8
@@ -102,20 +102,21 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
 
     The center n0 is the earliest index whose tail has all pairwise
     distances below 2; M = max{2, distances of the earlier elements to the
-    center}.  Every element then satisfies d(x_n, x_n0) <= M.
+    center}.  Every element then satisfies d(x_n, x_n0) <= M.  Tails are
+    nested, so n0 is one past the last index k with some d(x_k, x_j) >= 2,
+    j > k.  Every row of the upper triangle is evaluated in full, so a call
+    costs n(n-1)/2 + n distances whatever the terms are.
     """
     if len(seq) == 0:
         raise InputError("empty sequence")
     ln2 = math.log(2.0)
-    logs = [[space.dist(a, b).log_value for b in seq] for a in seq]
-    n0 = len(seq) - 1
-    for cand in range(len(seq)):
-        if all(logs[i][j] < ln2
-               for i in range(cand, len(seq)) for j in range(i + 1, len(seq))):
-            n0 = cand
-            break
-    m_log = max([ln2] + [logs[k][n0] for k in range(n0)])
-    assert all(logs[n][n0] <= m_log + 1e-12 for n in range(len(seq)))
+    n, n0 = len(seq), 0
+    for k in range(n - 1):
+        if not all([space.dist(seq[k], seq[j]).log_value < ln2 for j in range(k + 1, n)]):
+            n0 = k + 1
+    row = [space.dist(x, seq[n0]).log_value for x in seq]
+    m_log = max([ln2] + row[:n0])
+    assert all(r <= m_log + 1e-12 for r in row)
     return BoundReport(center_index=n0, M=math.exp(m_log))
 
 
@@ -185,8 +186,7 @@ def monotone_subsequence(seq: Sequence[float]) -> list[int]:
     return chain if len(chain) > len(peaks) else peaks
 
 
-def bw_extract(seq: Sequence[float], M: float,
-               space: SpaceInstance | None = None) -> tuple[list[int], float]:
+def bw_extract(seq: Sequence[float], M: float) -> tuple[list[int], float]:
     """Convergent-subsequence extraction for bounded positive sequences.
 
     Requires every element inside the multiplicative bound [1/M, M].
@@ -214,8 +214,9 @@ def continuity_probe(fn, x, trial_sequences: Sequence[Sequence],
 
     Each trial sequence must already converge to x in the domain metric.
     The verdict is whether every image sequence converges to fn(x) in the
-    codomain metric; codomain=None means the ordinary real line, where the
-    gap is |fn(x_n) - fn(x)| compared against tol_log directly.
+    codomain metric (convergence_diagnostic; the witness is the worst tail
+    index); codomain=None means the ordinary real line, where the gap is
+    |fn(x_n) - fn(x)|, the log distance of real_line_exp.
     """
     if len(trial_sequences) == 0:
         raise InputError("need at least one trial sequence")
@@ -224,15 +225,9 @@ def continuity_probe(fn, x, trial_sequences: Sequence[Sequence],
         if not diag.verdict:
             raise InputError(f"trial sequence {k} does not converge to x: {diag.detail}")
     fx = fn(x)
+    codomain = codomain or real_line_exp()
     for k, trial in enumerate(trial_sequences):
-        images = [fn(p) for p in trial]
-        start = tail_start(len(images))
-        for i in range(start, len(images)):
-            if codomain is None:
-                gap = abs(images[i] - fx)
-            else:
-                gap = codomain.dist(images[i], fx).log_value
-            if gap > tol_log:
-                return SeqDiagnostic(False, i, MulDistance(gap),
-                                     f"trial {k}: image gap {gap:.3e} > {tol_log:.3e} at index {i}")
+        diag = convergence_diagnostic([fn(p) for p in trial], fx, codomain, tol_log)
+        if not diag.verdict:
+            return replace(diag, detail=f"trial {k}: image {diag.detail}")
     return SeqDiagnostic(True, detail=f"{len(trial_sequences)} trial sequences transported")

@@ -79,11 +79,21 @@ def positive_reals(lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:
 
 
 def positive_interval(lo: float, hi: float) -> SpaceInstance:
-    """A closed subinterval of R_+ under |.|* (complete: it is closed)."""
+    """A closed subinterval of R_+ under |.|* (complete: it is closed); its
+    distance rejects points outside [lo, hi] by more than POINT_EQ_TOL_LOG in log."""
     if lo is None or hi is None:
         raise InputError("pos-interval needs lo and hi")
     sp = positive_reals(lo, hi)
-    return SpaceInstance(f"pos-interval[{lo},{hi}]", sp.dist, sp.sample)
+    log_lo, log_hi = math.log(lo) - mc.POINT_EQ_TOL_LOG, math.log(hi) + mc.POINT_EQ_TOL_LOG
+
+    def dist(x, y):
+        d = sp.dist(x, y)
+        outside = [p for p in (x, y) if not log_lo <= math.log(p) <= log_hi]
+        if outside:
+            raise DomainError(f"points outside [{lo}, {hi}]: {', '.join(map(repr, outside))}")
+        return d
+
+    return SpaceInstance(f"pos-interval[{lo},{hi}]", dist, sp.sample)
 
 
 def positive_vectors(n: int, lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:

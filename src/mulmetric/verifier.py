@@ -25,13 +25,14 @@ def _log_of(d) -> float:
 
     Accepts a MulDistance or a plain value d (the candidate need not be a
     valid multiplicative metric, so plain values below 1 are allowed and
-    map to negative logs, which the m1 check then flags).
+    map to negative logs, and values d <= 0 to -inf, which the m1 check
+    then flags).
     """
     if isinstance(d, MulDistance):
         return d.log_value
-    if not (d > 0):
-        raise InputError(f"candidate distance returned a nonpositive value: {d}")
-    return math.log(d)
+    if math.isnan(d):
+        raise InputError(f"candidate distance returned an undefined value: {d}")
+    return math.log(d) if d > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def verify_contraction(map_: Callable, distance: Callable, kind: str, lam: float
     for _ in range(n_samples):
         x, y = sampler(rng), sampler(rng)
         fx, fy = map_(x), map_(y)
-        lhs, q = contraction_logs(spec.kind, distance, x, y, fx, fy, _log_of)
+        lhs, q = contraction_logs(spec.kind, distance, x, y, fx, fy)
         rhs = spec.lam * q
         if lhs > rhs + slack_log:
             witnesses.append(Witness(kind, (x, y), (lhs, rhs)))

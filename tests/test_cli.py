@@ -85,7 +85,15 @@ class TestUsageErrors:
         ["solve", "--expr", "ln(x)", "--x0", "0.5"],
         ["solve", "--expr", "x/4", "--space", "d-star", "--dim", "2", "--x0", "1,2"],
         ["solve", "--problem", BAD_FILE],
-    ], ids=["overflow", "zero-division", "log-domain", "vector-point", "bad-file-value"])
+        ["verify", "--expr-dist", "(x-y)^0.5"],
+        ["verify", "--expr-dist", "9^9^9"],
+        ["verify", "--expr-dist", "exp(1000*abs(x-y))"],
+        ["solve", "--expr", "x^0.5", "--space", "real-line-exp", "--x0", "-4"],
+        ["estimate", "--expr", "x^0.5", "--space", "real-line-exp"],
+        ["solve", "--problem", "paper-scalar", "--x0", "5"],
+    ], ids=["overflow", "zero-division", "log-domain", "vector-point", "bad-file-value",
+            "complex-distance", "power-overflow", "distance-overflow", "complex-iterate",
+            "complex-estimate", "outside-interval"])
     def test_exit_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / BAD_FILE).write_text("space_id = pos-reals\nmap_id = sqrt-toy\n"
@@ -146,6 +154,20 @@ class TestVerify:
             # replay: distinct points at log distance <= slack violate m1
             assert w["axiom"] == "m1" and x != y
             assert math.log(dist(x, y)) <= report["slack_log"]
+
+    @pytest.mark.parametrize("formula", ["0", "x-y+1"])
+    def test_nonpositive_expr_dist_refuted(self, formula, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["verify", "--expr-dist", formula, "--samples", "30", "--seed", "2",
+                    "--out", str(out)])
+        assert code == 4
+        report = json.loads(out.read_text())
+        assert not report["m1_ok"]
+        dist = compile_expr(formula, ("x", "y"))
+        m1 = [w for w in report["witnesses"] if w["axiom"] == "m1"]
+        assert m1 and all(dist(*w["points"]) < 1 for w in m1)
+        if formula == "0":  # d = 0 counts as ln d = -inf
+            assert all(w["values"] == [-math.inf] for w in m1)
 
     def test_lambda_overrides_registry_problem(self, tmp_path):
         out = tmp_path / "report.json"

@@ -260,3 +260,18 @@ def test_metric_axioms_on_sampled_triples(make_space):
         assert dxz <= dxy + dyz + 1e-12
         lhs, rhs = reverse_triangle_gap(x, y, z, sp)
         assert lhs.log_value <= rhs.log_value + 1e-12
+
+
+class TestPositiveInterval:
+    SPACE = spaces.positive_interval(0.1, 1.0)
+
+    def test_samples_and_endpoints_are_members(self):
+        rng = random.Random(0)
+        points = [self.SPACE.sample(rng) for _ in range(200)] + [0.1, 1.0]
+        for p in points:
+            assert self.SPACE.dist(p, 0.5).log_value >= 0
+
+    @pytest.mark.parametrize("outside", [5.0, 0.05, 1.0 + 1e-9])
+    def test_rejects_points_outside(self, outside):
+        with pytest.raises(DomainError, match=repr(outside)):
+            self.SPACE.dist(0.5, outside)

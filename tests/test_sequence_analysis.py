@@ -5,6 +5,7 @@ import pytest
 
 from mulmetric import spaces
 from mulmetric.errors import InputError
+from mulmetric.metric_core import PosVec
 from mulmetric.sequence_analysis import (
     bounded_diagnostic,
     bw_extract,
@@ -17,6 +18,17 @@ from mulmetric.sequence_analysis import (
 )
 
 POS = spaces.positive_reals()
+DSTAR = spaces.positive_vectors(3)
+
+
+def bounded_by_matrix(seq, space):
+    """The full-matrix construction bounded_diagnostic replaced: (n0, M)."""
+    ln2 = math.log(2.0)
+    logs = [[space.dist(a, b).log_value for b in seq] for a in seq]
+    n0 = next(cand for cand in range(len(seq))
+              if all(logs[i][j] < ln2
+                     for i in range(cand, len(seq)) for j in range(i + 1, len(seq))))
+    return n0, math.exp(max([ln2] + [logs[k][n0] for k in range(n0)]))
 
 
 def seq_root_of_two(n):
@@ -83,6 +95,42 @@ class TestBoundedDiagnostic:
         c = seq[report.center_index]
         for x in seq:
             assert POS.dist(x, c).log_value <= math.log(report.M) + 1e-12
+
+
+    @pytest.mark.parametrize("space", [POS, DSTAR], ids=["pos-reals", "d-star"])
+    def test_matches_matrix_reference(self, space):
+        rng = random.Random(11)
+        for trial in range(60):
+            n = rng.randint(1, 40)
+            scale, rate = rng.uniform(0.1, 3.0), rng.uniform(0.3, 1.0)
+
+            def point(k):
+                logs = [scale * rate**k * rng.uniform(-1, 1) for _ in range(3)]
+                return math.exp(logs[0]) if space is POS else PosVec(map(math.exp, logs))
+
+            seq = [point(k) for k in range(n)]
+            report = bounded_diagnostic(seq, space)
+            n0, M = bounded_by_matrix(seq, space)
+            assert report.center_index == n0
+            assert report.M == M
+
+    def test_cost_depends_on_length_only(self):
+        calls = []
+
+        def dist(a, b):
+            calls.append(1)
+            return POS.dist(a, b)
+
+        counting = spaces.SpaceInstance("counting", dist, POS.sample)
+        n = 30
+        shapes = {"settled": [3.0] * n,
+                  "alternating": [(0.2, 5.0)[k % 2] for k in range(n)],
+                  "late jump": [1.0] * (n - 2) + [9.0, 9.0],
+                  "root of two": seq_root_of_two(n)}
+        for shape, seq in shapes.items():
+            calls.clear()
+            bounded_diagnostic(seq, counting)
+            assert len(calls) == n * (n - 1) // 2 + n, shape
 
 
 class TestSupInfCharacterization:
@@ -182,6 +230,15 @@ class TestContinuityProbe:
         diag = continuity_probe(step, 1.0, trials, POS, tol_log=1e-3, codomain=POS)
         assert not diag.verdict
         assert diag.witness_index is not None
+
+    def test_witness_is_worst_tail_index(self):
+        # images 1/|ln p| grow toward the end of the trial, so the worst is last
+        trials = [seq_root_of_two(40)]
+        diag = continuity_probe(lambda p: 1.0 / abs(math.log(p)) if p != 1.0 else 0.0,
+                                1.0, trials, POS, tol_log=0.1)
+        assert not diag.verdict
+        assert diag.witness_index == 39
+        assert diag.detail.startswith("trial 0: image ")
 
     def test_nonconvergent_trial_rejected(self):
         with pytest.raises(InputError):
