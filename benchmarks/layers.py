@@ -1,0 +1,157 @@
+"""Per-layer timings of the spaces and the axiom verifier, for two checkouts.
+
+    python benchmarks/layers.py                 # parent = HEAD~1, change = this tree
+    python benchmarks/layers.py --parent HEAD   # before committing a change
+
+Writes BENCH_layers.json at the repository root with, for the parent
+revision (exported with `git archive` into a temporary directory) and for
+this working tree:
+
+- `sample_us`, `dist_us`: one scalar `sample` / `dist` call per space, in
+  microseconds (the samplers and distances `solve`, `estimate` and
+  `verify --problem` call one point at a time);
+- `verify_us_per_sample`: `verify --space`'s axiom check per sampled triple;
+- `criterion_5_s`: tests/test_acceptance.py::test_criterion_5_axiom_suite.
+
+Each figure is the minimum over ROUNDS runs that alternate the two trees, each
+run in a fresh interpreter, because the host's speed drifts between runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROUNDS = 5
+
+# name -> (space id, build keywords, verifier samples); one entry per CLI space
+SPACES = {
+    "pos-reals": ("pos-reals", {}, 3000),
+    "pos-interval": ("pos-interval", {"lo": 0.1, "hi": 1.0}, 3000),
+    "real-line-exp": ("real-line-exp", {}, 3000),
+    "d-star-3": ("d-star", {"dim": 3}, 1000),
+    "d-star-8": ("d-star", {"dim": 8}, 500),
+    "d-a-2": ("d-a", {"dim": 2}, 1000),
+    "d-a-2-complex": ("d-a", {"dim": 2, "complex_coords": True}, 1000),
+    "segment": ("segment", {}, 2000),
+    "product-pos": ("product-pos", {}, 1000),
+    "func-sup": ("func-sup", {}, 50),
+}
+
+# run inside the measured tree: prints one JSON object of per-space timings
+PROBE = r"""
+import dataclasses, json, random, sys, time
+from mulmetric import spaces
+from mulmetric.verifier import verify_axioms
+
+def per_call_us(fn, args, calls):
+    best = float("inf")
+    for _ in range(7):
+        t0 = time.perf_counter()
+        for a in args * (calls // len(args)):
+            fn(*a)
+        best = min(best, (time.perf_counter() - t0) / (calls // len(args) * len(args)))
+    return best * 1e6
+
+out = {}
+for name, (space_id, kw, n) in json.loads(sys.argv[1]).items():
+    sp = spaces.build(space_id, **kw)
+    rng = random.Random(1)
+    points = [sp.sample(rng) for _ in range(64)]
+    pairs = [(points[i], points[(7 * i + 3) % 64]) for i in range(64)]
+    calls = 640 if name == "func-sup" else 64000
+    rngs = [(random.Random(2),)]
+    batched = "chart" in {f.name for f in dataclasses.fields(sp)}
+    def verify():
+        if batched:
+            return verify_axioms(sp, n, seed=1)
+        return verify_axioms(sp.dist, sp.sample, n, seed=1, points_equal=sp.points_equal)
+    verify()
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        verify()
+        best = min(best, time.perf_counter() - t0)
+    out[name] = {"sample_us": per_call_us(sp.sample, rngs, calls // 4),
+                 "dist_us": per_call_us(sp.dist, pairs, calls),
+                 "verify_us_per_sample": best / n * 1e6}
+print(json.dumps(out))
+"""
+
+
+def run_probe(tree: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(SPACES)], env=env,
+                          capture_output=True, text=True, check=True, cwd=tree)
+    return json.loads(proc.stdout)
+
+
+def criterion_5_seconds(tree: str) -> float:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    test = "tests/test_acceptance.py::test_criterion_5_axiom_suite"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--durations=1", "--durations-min=0", test],
+                          env=env, capture_output=True, text=True, check=True, cwd=tree)
+    return float(re.search(r"([0-9.]+)s call", proc.stdout).group(1))
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    import numpy
+    return {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "platform": platform.platform()}
+
+
+def merge_min(acc: dict, new: dict):
+    for space, figures in new.items():
+        slot = acc.setdefault(space, {})
+        for key, value in figures.items():
+            slot[key] = round(min(value, slot.get(key, value)), 3)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
+    args = parser.parse_args()
+    rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as parent:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent)
+        trees = {"parent": parent, "change": ROOT}
+        spaces = {side: {} for side in trees}
+        crit5 = {side: float("inf") for side in trees}
+        for r in range(ROUNDS):
+            order = list(trees) if r % 2 == 0 else list(reversed(trees))
+            for side in order:
+                merge_min(spaces[side], run_probe(trees[side]))
+                crit5[side] = min(crit5[side], criterion_5_seconds(trees[side]))
+    result = {"machine": machine(), "parent_rev": rev, "rounds": ROUNDS,
+              "parent": {"criterion_5_s": crit5["parent"], "spaces": spaces["parent"]},
+              "change": {"criterion_5_s": crit5["change"], "spaces": spaces["change"]}}
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps({side: result[side]["criterion_5_s"] for side in trees}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

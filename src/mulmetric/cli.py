@@ -26,14 +26,8 @@ EXIT_REFUTED = 4
 
 
 def _encode_value(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (int, float, str, bool)) or v is None:
-        return v
-    try:
-        return reg.encode_point(v)
-    except Exception:
-        return repr(v)
+    # scalar witness points are written as bare numbers, trace points as lists
+    return v if isinstance(v, (int, float)) else reg.encode_point(v)
 
 
 def trace_to_dict(report: fp.SolverReport) -> dict:
@@ -125,8 +119,7 @@ def _emit_report(report, ok: bool, out: str | None) -> int:
 def _verify_space(args) -> int:
     sp = spaces.build(args.space, complex_coords=args.complex,
                       **_given(args, ("dim", "base", "lo", "hi")))
-    report = verify_axioms(sp.dist, sp.sample, args.samples, args.seed,
-                           points_equal=sp.points_equal)
+    report = verify_axioms(sp, args.samples, seed=args.seed)
     return _emit_report(report, report.all_ok, args.out)
 
 

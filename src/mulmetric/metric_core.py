@@ -10,8 +10,10 @@ full floating-point resolution while the plain value would collapse to
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,16 +22,21 @@ from .errors import DomainError, ShapeError
 #: Two points compare equal when their distance has log_value <= this.
 POINT_EQ_TOL_LOG = 1e-12
 
+_set_frozen = object.__setattr__
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class MulDistance:
     """A multiplicative distance stored as rho = ln d >= 0."""
 
     log_value: float
 
-    def __post_init__(self):
-        if not (self.log_value >= 0.0):
-            raise DomainError(f"log_value must be >= 0, got {self.log_value}")
+    def __init__(self, log_value: float):
+        # hand-written: every distance call builds one, and this is faster
+        # than the generated __init__ plus __post_init__
+        if not (log_value >= 0.0):
+            raise DomainError(f"log_value must be >= 0, got {log_value}")
+        _set_frozen(self, "log_value", log_value)
 
     @classmethod
     def from_value(cls, d: float) -> "MulDistance":
@@ -89,6 +96,19 @@ class ComplexVec(CoordVector, scalar=complex):
     """A point of C^n."""
 
 
+class Grid(tuple):
+    """A strictly increasing tuple of at least two abscissae, checked once when
+    built: functions sampled on one shared Grid skip the check."""
+
+    def __new__(cls, abscissae):
+        grid = super().__new__(cls, map(float, abscissae))
+        if len(grid) < 2:
+            raise ShapeError("grid must contain at least two abscissae")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError("grid must be strictly increasing")
+        return grid
+
+
 @dataclass(frozen=True)
 class SampledPosFunction:
     """A positive function on [a, b] represented by samples on a grid.
@@ -101,18 +121,16 @@ class SampledPosFunction:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.grid) != len(self.values):
+        grid = self.grid if isinstance(self.grid, Grid) else Grid(self.grid)
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (len(grid),):
             raise ShapeError("grid and values must have equal length")
-        if len(self.grid) < 2:
-            raise ShapeError("grid must contain at least two abscissae")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise DomainError("grid must be strictly increasing")
-        if any(not (v > 0) for v in self.values):
+        if not (values > 0).all():
             raise DomainError("function values must be strictly positive")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", tuple(values.tolist()))
         # cached log values make the sup metric one vectorized pass
-        object.__setattr__(self, "_log_values", np.log(np.asarray(self.values)))
+        object.__setattr__(self, "_log_values", np.log(values))
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, n: int = 1024) -> "SampledPosFunction":
@@ -149,7 +167,54 @@ def _coords(x) -> Sequence:
 
 
 # ---------------------------------------------------------------------------
-# concrete metrics
+# concrete metrics, each one chart
+
+@dataclass(frozen=True)
+class Chart:
+    """Coordinates in which rho = ln d is a plain norm: rho(x, y) =
+    |phi(x) - phi(y)| * factor / divisor, |.| the L1 or the L-infinity norm.
+
+    `phi` maps a point to its chart coordinates (one number for a `scalar`
+    chart, where None is the point itself).  The scale is a factor and a
+    divisor so that ln(a) * gap and gap / 3 keep their closed forms bit for
+    bit.  `dist` gives rho of two points as a MulDistance, `rho` of two
+    arrays of chart coordinates (last axis: one point's coordinates).
+    """
+
+    phi: Optional[Callable] = None
+    norm: str = "l1"
+    factor: float = 1.0
+    divisor: float = 1.0
+    scalar: bool = False
+
+    def rho(self, a, b) -> np.ndarray:
+        gap = np.abs(a - b)
+        r = gap.max(axis=-1) if self.norm == "linf" else gap.sum(axis=-1)
+        return r * self.factor / self.divisor
+
+    @cached_property
+    def dist(self) -> Callable:
+        phi, scalar, linf = self.phi, self.scalar, self.norm == "linf"
+        factor, divisor, unit = self.factor, self.divisor, self.factor == self.divisor == 1.0
+
+        def dist(x, y) -> MulDistance:
+            try:
+                if scalar:
+                    r = abs(x - y) if phi is None else abs(phi(x) - phi(y))
+                else:
+                    a, b = phi(x), phi(y)
+                    if linf:
+                        r = float(np.max(np.abs(a - b)))
+                    elif len(a) != len(b):
+                        raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
+                    else:
+                        r = sum(map(abs, map(operator.sub, a, b)))
+            except (ValueError, TypeError):
+                raise DomainError(f"not points of this space: {x!r}, {y!r}") from None
+            return MulDistance(r if unit else r * factor / divisor)
+
+        return dist
+
 
 def mabs(a: float) -> MulDistance:
     """Multiplicative absolute value: a if a >= 1 else 1/a, as a MulDistance."""
@@ -158,39 +223,47 @@ def mabs(a: float) -> MulDistance:
     return MulDistance(abs(math.log(a)))
 
 
-def dist_pos_vec(x, y) -> MulDistance:
-    """Product-of-ratios metric on R_+^n: exp of the L1 distance in log coords."""
-    xc, yc = _coords(x), _coords(y)
-    if len(xc) != len(yc):
-        raise ShapeError(f"length mismatch: {len(xc)} vs {len(yc)}")
-    if any(not (c > 0) for c in xc) or any(not (c > 0) for c in yc):
-        raise DomainError("dist_pos_vec requires strictly positive coordinates")
-    return MulDistance(sum(abs(math.log(a) - math.log(b)) for a, b in zip(xc, yc)))
+def _segment_log(p) -> float:
+    # the two segments unrolled into one line: ln u on {(u, 1)}, -ln v on {(1, v)};
+    # |ln u - ln u'| + |ln v - ln v'| is then one absolute difference
+    if not isinstance(p, SegmentPoint):
+        raise DomainError("dist_segment requires SegmentPoint operands")
+    return math.log(p.u) - math.log(p.v)
+
+
+#: |.|* on R_+ and d* on R_+^n: L1 in log coordinates
+POS_CHART = Chart(math.log, scalar=True)
+D_STAR_CHART = Chart(lambda x: tuple(map(math.log, _coords(x))))
+#: d_e on R: |x - y|
+LINE_CHART = Chart(scalar=True)
+#: the cube-root product metric on the two unit-anchored segments
+SEGMENT_CHART = Chart(_segment_log, divisor=3.0, scalar=True)
+#: the sup metric on sampled positive functions: max pointwise ratio gap
+SUP_CHART = Chart(lambda f: f._log_values, norm="linf")
+
+
+def exp_chart(base: float) -> Chart:
+    """d_a = a^(sum |x_i - y_i|) on R^n or C^n (moduli): L1, scaled by ln a."""
+    if not (base > 1):
+        raise DomainError(f"base must exceed 1, got {base}")
+    return Chart(_coords, factor=math.log(base))
+
+
+#: d* (the product-of-ratios metric) and the segment metric on two points
+dist_pos_vec = D_STAR_CHART.dist
+dist_segment = SEGMENT_CHART.dist
 
 
 def dist_exp(x, y, base: float) -> MulDistance:
     """Exponential metric base^(sum |x_i - y_i|) on R^n or C^n (moduli)."""
-    if not (base > 1):
-        raise DomainError(f"base must exceed 1, got {base}")
-    xc, yc = _coords(x), _coords(y)
-    if len(xc) != len(yc):
-        raise ShapeError(f"length mismatch: {len(xc)} vs {len(yc)}")
-    return MulDistance(math.log(base) * sum(abs(a - b) for a, b in zip(xc, yc)))
+    return exp_chart(base).dist(x, y)
 
 
 def dist_function_sup(f: SampledPosFunction, g: SampledPosFunction) -> MulDistance:
     """Sup metric on sampled positive functions: max pointwise ratio gap."""
-    if f.grid != g.grid:
+    if f.grid is not g.grid and f.grid != g.grid:
         raise ShapeError("functions must be sampled on the identical grid")
-    return MulDistance(float(np.max(np.abs(f._log_values - g._log_values))))
-
-
-def dist_segment(p: SegmentPoint, q: SegmentPoint) -> MulDistance:
-    """Cube-root product metric on the two unit-anchored segments."""
-    if not isinstance(p, SegmentPoint) or not isinstance(q, SegmentPoint):
-        raise DomainError("dist_segment requires SegmentPoint operands")
-    gap = abs(math.log(p.u) - math.log(q.u)) + abs(math.log(p.v) - math.log(q.v))
-    return MulDistance(gap / 3.0)
+    return SUP_CHART.dist(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 from . import spaces
 from .errors import InputError
 from .expressions import compile_expr
-from .metric_core import PosVec, SegmentPoint
+from .metric_core import CoordVector, PosVec, RealVec, SampledPosFunction, SegmentPoint
 from .spaces import SelfMap, SpaceInstance
 
 SPACE_IDS = tuple(spaces.SPACES)
@@ -85,24 +85,34 @@ def build_selfmap(pd: ProblemDefinition, space: SpaceInstance | None = None) -> 
 
 def decode_point(pd: ProblemDefinition, coords: tuple):
     """Turn the flat x0 coordinate tuple into the space's point type."""
-    if pd.space_id == "segment":
-        if len(coords) != 2:
-            raise InputError("segment points need two coordinates")
-        return SegmentPoint(coords[0], coords[1])
-    if pd.space_id == "d-star" and pd.dim > 1:
-        return PosVec(coords)
-    if len(coords) != 1:
-        raise InputError(f"space {pd.space_id!r} expects a scalar start point")
+    space = pd.space_id
+    if space == "func-sup":
+        raise InputError("space 'func-sup' takes no start point from coordinates")
+    n = {"segment": 2, "product-pos": 2, "d-star": pd.dim, "d-a": pd.dim}.get(space, 1)
+    if len(coords) != n:
+        raise InputError(f"space {space!r} expects a start point of {n} coordinate(s)")
+    if space == "segment":
+        return SegmentPoint(*coords)
+    if space == "product-pos":
+        return coords
+    if n > 1:
+        return (PosVec if space == "d-star" else RealVec)(coords)
     return coords[0]
 
 
-def encode_point(point) -> list[float]:
-    """Flatten a point into a list of reals for the trace schema."""
+def encode_point(point) -> list:
+    """A point as JSON numbers: its coordinates ([re, im] for a complex one),
+    a sampled function's values, or a list of the two encoded points of a pair."""
+    if isinstance(point, float):
+        return [float(point)]
+    if isinstance(point, tuple):
+        return [encode_point(p) for p in point]
     if isinstance(point, SegmentPoint):
         return [point.u, point.v]
-    if hasattr(point, "coords"):
-        return [float(c) for c in point.coords]
-    return [float(point)]
+    if isinstance(point, SampledPosFunction):
+        return list(point.values)
+    coords = point.coords if isinstance(point, CoordVector) else (point,)
+    return [[c.real, c.imag] if isinstance(c, complex) else float(c) for c in coords]
 
 
 # ---------------------------------------------------------------------------

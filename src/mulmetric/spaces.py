@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from . import metric_core as mc
 from .errors import DomainError, InputError
 from .metric_core import (
+    Chart,
+    ComplexVec,
+    Grid,
     MulDistance,
     PosVec,
     RealVec,
-    ComplexVec,
     SampledPosFunction,
     SegmentPoint,
 )
@@ -34,11 +36,19 @@ SamplerFn = Callable[[random.Random], Point]
 
 @dataclass(frozen=True)
 class SpaceInstance:
-    """A named multiplicative metric space."""
+    """A named multiplicative metric space.
+
+    A space whose distance is a chart's also has `draws`, the rng.random()
+    calls `sample` makes per point, and `decode`, which maps such draws, shape
+    (..., draws), to the chart coordinates of the points built from them.
+    """
 
     name: str
     dist: DistFn
     sample: SamplerFn
+    chart: Optional[Chart] = None
+    draws: int = 0
+    decode: Optional[Callable] = None
 
     def points_equal(self, p: Point, q: Point) -> bool:
         return self.dist(p, q).log_value <= mc.POINT_EQ_TOL_LOG
@@ -59,23 +69,21 @@ class SelfMap:
             raise DomainError(f"map {self.name} is undefined at {p!r}: {exc}") from None
 
 
-def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    # log-uniform exercises both branches of |.|* evenly around 1
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+def _log_uniform(lo: float, hi: float) -> tuple[float, float]:
+    """(a, w) such that exp(a + w * rng.random()) is log-uniform on [lo, hi],
+    which exercises both branches of |.|* evenly around 1."""
+    if not (0 < lo < hi):
+        raise DomainError("need 0 < lo < hi for the sampler range")
+    a = math.log(lo)
+    return a, math.log(hi) - a
 
 
 def positive_reals(lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:
     """(R_+, |.|*): scalar positive reals under the multiplicative absolute value."""
-    if not (0 < lo < hi):
-        raise DomainError("need 0 < lo < hi for the sampler range")
-
-    def dist(x, y):
-        try:
-            return MulDistance(abs(math.log(x) - math.log(y)))
-        except (ValueError, TypeError):
-            raise DomainError(f"points of R_+ must be positive reals: {x!r}, {y!r}") from None
-
-    return SpaceInstance("pos-reals", dist, lambda rng: _log_uniform(rng, lo, hi))
+    log_lo, width = _log_uniform(lo, hi)
+    return SpaceInstance("pos-reals", mc.POS_CHART.dist,
+                         lambda rng: math.exp(log_lo + width * rng.random()),
+                         mc.POS_CHART, 1, lambda u: log_lo + width * u)
 
 
 def positive_interval(lo: float, hi: float) -> SpaceInstance:
@@ -86,70 +94,80 @@ def positive_interval(lo: float, hi: float) -> SpaceInstance:
     sp = positive_reals(lo, hi)
     log_lo, log_hi = math.log(lo) - mc.POINT_EQ_TOL_LOG, math.log(hi) + mc.POINT_EQ_TOL_LOG
 
-    def dist(x, y):
-        d = sp.dist(x, y)
-        outside = [p for p in (x, y) if not log_lo <= math.log(p) <= log_hi]
-        if outside:
-            raise DomainError(f"points outside [{lo}, {hi}]: {', '.join(map(repr, outside))}")
-        return d
+    def log_member(x):
+        log_x = math.log(x)
+        if not log_lo <= log_x <= log_hi:
+            raise DomainError(f"point outside [{lo}, {hi}]: {x!r}")
+        return log_x
 
-    return SpaceInstance(f"pos-interval[{lo},{hi}]", dist, sp.sample)
+    chart = Chart(log_member, scalar=True)
+    return replace(sp, name=f"pos-interval[{lo},{hi}]", dist=chart.dist, chart=chart)
 
 
 def positive_vectors(n: int, lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:
     """(R_+^n, d*): product-of-ratios metric."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
+    log_lo, width = _log_uniform(lo, hi)
 
     def sample(rng: random.Random) -> PosVec:
-        return PosVec(tuple(_log_uniform(rng, lo, hi) for _ in range(n)))
+        draw = rng.random
+        return PosVec(tuple([math.exp(log_lo + width * draw()) for _ in range(n)]))
 
-    return SpaceInstance(f"pos-vec-{n}", mc.dist_pos_vec, sample)
+    return SpaceInstance(f"pos-vec-{n}", mc.D_STAR_CHART.dist, sample, mc.D_STAR_CHART, n,
+                         lambda u: log_lo + width * u)
 
 
 def exp_metric(n: int, base: float, lo: float = -10.0, hi: float = 10.0,
                complex_coords: bool = False) -> SpaceInstance:
     """(R^n or C^n, d_a): the metric base^(sum |x_i - y_i|)."""
-    if not (base > 1):
-        raise DomainError(f"base must exceed 1, got {base}")
+    chart = mc.exp_chart(base)
     if n < 1:
         raise DomainError("dimension must be >= 1")
-
-    def dist(x, y):
-        return mc.dist_exp(x, y, base)
 
     if complex_coords:
         def sample(rng: random.Random) -> ComplexVec:
             return ComplexVec(tuple(complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
                                     for _ in range(n)))
-        tag = f"exp-metric-C{n}(a={base})"
-    else:
-        def sample(rng: random.Random) -> RealVec:
-            return RealVec(tuple(rng.uniform(lo, hi) for _ in range(n)))
-        tag = f"exp-metric-R{n}(a={base})"
+        # the draws alternate real and imaginary parts
+        return SpaceInstance(f"exp-metric-C{n}(a={base})", chart.dist, sample, chart, 2 * n,
+                             lambda u: (lo + (hi - lo) * u).view(complex))
 
-    return SpaceInstance(tag, dist, sample)
+    def sample(rng: random.Random) -> RealVec:
+        return RealVec(tuple(rng.uniform(lo, hi) for _ in range(n)))
+
+    return SpaceInstance(f"exp-metric-R{n}(a={base})", chart.dist, sample, chart, n,
+                         lambda u: lo + (hi - lo) * u)
 
 
 def real_line_exp(lo: float = -10.0, hi: float = 10.0) -> SpaceInstance:
     """(R, d_e): scalar reals with d(x,y) = e^|x-y| (log gap = |x-y|)."""
-
-    def dist(x, y):
-        return MulDistance(abs(x - y))
-
-    return SpaceInstance("real-line-exp", dist, lambda rng: rng.uniform(lo, hi))
+    width = hi - lo
+    return SpaceInstance("real-line-exp", mc.LINE_CHART.dist,
+                         lambda rng: lo + width * rng.random(),
+                         mc.LINE_CHART, 1, lambda u: lo + width * u)
 
 
 def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
-    """Pair space with the product metric rho = d1 * d2; points are 2-tuples."""
+    """Pair space with the product metric d1 * d2 (rho1 + rho2); points are 2-tuples.
 
-    def dist(p, q):
-        return s1.dist(p[0], q[0]) * s2.dist(p[1], q[1])
+    When both factors have unscaled scalar charts, the two chart coordinates
+    under L1 are the pair's chart, which then gives its distance.
+    """
+    name = f"product({s1.name},{s2.name})"
 
     def sample(rng: random.Random):
         return (s1.sample(rng), s2.sample(rng))
 
-    return SpaceInstance(f"product({s1.name},{s2.name})", dist, sample)
+    if not all(c is not None and c.scalar and c.factor == c.divisor == 1.0
+               for c in (s1.chart, s2.chart)):
+        return SpaceInstance(name, lambda p, q: s1.dist(p[0], q[0]) * s2.dist(p[1], q[1]),
+                             sample)
+    phi1, phi2 = (c.phi or (lambda x: x) for c in (s1.chart, s2.chart))
+    chart = Chart(lambda p: (phi1(p[0]), phi2(p[1])))
+    k, decode1, decode2 = s1.draws, s1.decode, s2.decode
+    return SpaceInstance(name, chart.dist, sample, chart, k + s2.draws,
+                         lambda u: np.concatenate([decode1(u[..., :k]), decode2(u[..., k:])], -1))
 
 
 def function_space(a: float, b: float, n_grid: int = 1024,
@@ -161,18 +179,25 @@ def function_space(a: float, b: float, n_grid: int = 1024,
     """
     if not (b > a):
         raise DomainError("need b > a")
-    grid = tuple(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
+    grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
     grid_arr = np.asarray(grid)
+    log_lo, width = _log_uniform(lo, hi)
 
     def sample(rng: random.Random) -> SampledPosFunction:
-        c = _log_uniform(rng, lo, hi)
+        c = math.exp(log_lo + width * rng.random())
         amp = rng.uniform(-1.0, 1.0)
         freq = rng.uniform(0.5, 3.0)
         phase = rng.uniform(0.0, 2 * math.pi)
-        vals = c * np.exp(amp * np.sin(freq * grid_arr + phase))
-        return SampledPosFunction(grid, tuple(vals))
+        return SampledPosFunction(grid, c * np.exp(amp * np.sin(freq * grid_arr + phase)))
 
-    return SpaceInstance(f"func-sup[{a},{b}]x{n_grid}", mc.dist_function_sup, sample)
+    def decode(u):
+        # the sampler's four draws, in log coordinates: ln c + amp * sin(freq * x + phase)
+        log_c, amp = log_lo + width * u[..., :1], -1.0 + 2.0 * u[..., 1:2]
+        freq, phase = 0.5 + 2.5 * u[..., 2:3], 2 * math.pi * u[..., 3:]
+        return log_c + amp * np.sin(freq * grid_arr + phase)
+
+    return SpaceInstance(f"func-sup[{a},{b}]x{n_grid}", mc.dist_function_sup, sample,
+                         mc.SUP_CHART, 4, decode)
 
 
 def segment_space() -> SpaceInstance:
@@ -184,7 +209,11 @@ def segment_space() -> SpaceInstance:
             return SegmentPoint(t, 1.0)
         return SegmentPoint(1.0, t)
 
-    return SpaceInstance("segment", mc.dist_segment, sample)
+    def decode(u):
+        log_t = np.log(1.0 + u[..., :1])
+        return np.where(u[..., 1:] < 0.5, log_t, -log_t)
+
+    return SpaceInstance("segment", mc.SEGMENT_CHART.dist, sample, mc.SEGMENT_CHART, 2, decode)
 
 
 def segment_half_power_map(space: SpaceInstance | None = None) -> SelfMap:

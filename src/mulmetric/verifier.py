@@ -11,13 +11,22 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 from typing import Callable, ClassVar, Optional
+
+import numpy as np
 
 from .errors import InputError
 from .fixed_point import ContractionSpec, contraction_logs
 from .metric_core import POINT_EQ_TOL_LOG, MulDistance
+from .spaces import SpaceInstance
 
 DEFAULT_SLACK_LOG = 1e-10
+#: bound on |batched rho - scalar rho| / (1 + rho) on a chart space (sums in
+#: another order; numpy's exp, log and sin may differ from math's by an ulp)
+CHART_REL_ERR = 1e-13
+#: floats per array in one batch of chart samples
+BLOCK_FLOATS = 2**14
 
 
 def _log_of(d) -> float:
@@ -73,8 +82,68 @@ class ContractionReport:
     witness_key: ClassVar[str] = "kind"
 
 
-def verify_axioms(distance: Callable, sampler: Callable, n_samples: int,
-                  seed: int = 0, slack_log: float = DEFAULT_SLACK_LOG,
+def _axiom_witnesses(distance, x, y, z, slack_log: float, points_equal) -> list[Witness]:
+    """The witnesses one sampled triple gives, in the order the report lists them."""
+    dxy = _log_of(distance(x, y))
+    dyx = _log_of(distance(y, x))
+    dxz = _log_of(distance(x, z))
+    dyz = _log_of(distance(y, z))
+    dxx = _log_of(distance(x, x))
+    found = []
+    if dxy < -slack_log or (points_equal is not None and dxy <= POINT_EQ_TOL_LOG
+                            and not points_equal(x, y)):
+        found.append(Witness("m1", (x, y), (dxy,)))
+    if abs(dxx) > slack_log:
+        found.append(Witness("m1", (x, x), (dxx,)))
+    if abs(dxy - dyx) > slack_log:
+        found.append(Witness("m2", (x, y), (dxy, dyx)))
+    if dxz > dxy + dyz + slack_log:
+        found.append(Witness("m3", (x, y, z), (dxz, dxy, dyz)))
+    if abs(dxz - dyz) > dxy + slack_log:
+        found.append(Witness("reverse", (x, y, z), (abs(dxz - dyz), dxy)))
+    return found
+
+
+class _Replay(random.Random):
+    """Hands out recorded rng.random() values: a sampler rebuilds its points."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int,
+                     slack_log: float) -> list[Witness]:
+    """verify_axioms on a chart space, a block of samples at a time: the same
+    random.Random(seed) stream, the five distances and the axiom tests on chart
+    arrays.  A sample within a margin of failing a test (half the slack plus
+    CHART_REL_ERR per distance) is rebuilt from its draws as exact points and
+    checked by the scalar code, which alone writes witnesses."""
+    draw, k, rho = random.Random(seed).random, space.draws, space.chart.rho
+    width = space.decode(np.zeros(k)).shape[-1]
+    block = max(1, BLOCK_FLOATS // (3 * max(k, width)))
+    witnesses: list[Witness] = []
+    for start in range(0, n_samples, block):
+        b = min(block, n_samples - start)
+        u = np.fromiter(starmap(draw, repeat((), 3 * k * b)), float, 3 * k * b).reshape(b, 3, k)
+        x, y, z = np.moveaxis(space.decode(u), 1, 0)
+        dxy, dyx, dxz, dyz, dxx = rho(x, y), rho(y, x), rho(x, z), rho(y, z), rho(x, x)
+        margin = 0.5 * slack_log + CHART_REL_ERR * (5 + dxy + dyx + dxz + dyz + dxx)
+        near = ((dxy < margin - slack_log) | (dxy <= POINT_EQ_TOL_LOG + margin)
+                | (np.abs(dxx) > slack_log - margin) | (np.abs(dxy - dyx) > slack_log - margin)
+                | (dxz > dxy + dyz + slack_log - margin)
+                | (np.abs(dxz - dyz) > dxy + slack_log - margin))
+        for i in np.flatnonzero(near):
+            replay = _Replay(u[i].ravel().tolist())
+            points = [space.sample(replay) for _ in range(3)]
+            witnesses += _axiom_witnesses(space.dist, *points, slack_log, space.points_equal)
+    return witnesses
+
+
+def verify_axioms(distance, sampler, n_samples=None, seed: int = 0,
+                  slack_log: float = DEFAULT_SLACK_LOG,
                   points_equal: Optional[Callable] = None) -> AxiomReport:
     """Sample pairs and triples and test m1-m3 plus the reverse inequality.
 
@@ -82,30 +151,28 @@ def verify_axioms(distance: Callable, sampler: Callable, n_samples: int,
     must have d >= 1, and (when a points_equal predicate is supplied) a
     distance within the point-equality tolerance between distinct points is
     flagged.  A pair gets at most one m1 witness.
+
+    `verify_axioms(space, n_samples, seed=..., slack_log=...)` checks a
+    SpaceInstance with its own distance, sampler and point equality; when the
+    space has a chart the samples are checked in numpy batches, with the same
+    report.
     """
+    space = distance if isinstance(distance, SpaceInstance) else None
+    if space is not None:
+        if n_samples is not None or points_equal is not None:
+            raise InputError("verify_axioms(space, n_samples) takes the rest by keyword")
+        n_samples, distance, sampler = sampler, space.dist, space.sample
+        points_equal = space.points_equal
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    rng = random.Random(seed)
-    witnesses: list[Witness] = []
-    for _ in range(n_samples):
-        x, y, z = sampler(rng), sampler(rng), sampler(rng)
-        dxy = _log_of(distance(x, y))
-        dyx = _log_of(distance(y, x))
-        dxz = _log_of(distance(x, z))
-        dyz = _log_of(distance(y, z))
-        dxx = _log_of(distance(x, x))
-
-        if dxy < -slack_log or (points_equal is not None and dxy <= POINT_EQ_TOL_LOG
-                                and not points_equal(x, y)):
-            witnesses.append(Witness("m1", (x, y), (dxy,)))
-        if abs(dxx) > slack_log:
-            witnesses.append(Witness("m1", (x, x), (dxx,)))
-        if abs(dxy - dyx) > slack_log:
-            witnesses.append(Witness("m2", (x, y), (dxy, dyx)))
-        if dxz > dxy + dyz + slack_log:
-            witnesses.append(Witness("m3", (x, y, z), (dxz, dxy, dyz)))
-        if abs(dxz - dyz) > dxy + slack_log:
-            witnesses.append(Witness("reverse", (x, y, z), (abs(dxz - dyz), dxy)))
+    if space is not None and space.chart is not None:
+        witnesses = _chart_witnesses(space, n_samples, seed, slack_log)
+    else:
+        rng = random.Random(seed)
+        witnesses = []
+        for _ in range(n_samples):
+            x, y, z = sampler(rng), sampler(rng), sampler(rng)
+            witnesses += _axiom_witnesses(distance, x, y, z, slack_log, points_equal)
 
     flagged = {w.axiom for w in witnesses}
     return AxiomReport("m1" not in flagged, "m2" not in flagged, "m3" not in flagged,

@@ -121,8 +121,7 @@ def test_criterion_5_axiom_suite():
     ]
     ok = True
     for name, sp in candidates:
-        report = verify_axioms(sp.dist, sp.sample, 10**4, seed=5,
-                               points_equal=sp.points_equal)
+        report = verify_axioms(sp, 10**4, seed=5)
         if not report.all_ok:
             print(f"  axiom failure in {name}: {report.witnesses[:3]}")
         ok &= report.all_ok

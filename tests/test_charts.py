@@ -1,0 +1,140 @@
+"""Chart spaces: the batched draws and distances against the scalar sampler and
+distance, and the batched axiom verifier against the scalar one."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mulmetric import spaces
+from mulmetric.errors import InputError, ShapeError
+from mulmetric.metric_core import SampledPosFunction, dist_function_sup
+from mulmetric.verifier import _Replay, verify_axioms
+
+# every id of spaces.SPACES; d-a both real and complex
+CHART_SPACES = {
+    "pos-reals": lambda: spaces.build("pos-reals"),
+    "pos-interval": lambda: spaces.build("pos-interval", lo=0.1, hi=1.0),
+    "d-star-3": lambda: spaces.build("d-star", dim=3),
+    "d-a-real": lambda: spaces.build("d-a", dim=2),
+    "d-a-complex": lambda: spaces.build("d-a", dim=2, base=2.0, complex_coords=True),
+    "real-line-exp": lambda: spaces.build("real-line-exp"),
+    "segment": lambda: spaces.build("segment"),
+    "func-sup": lambda: spaces.build("func-sup"),
+    "product-pos": lambda: spaces.build("product-pos"),
+}
+BUILT = {name: make() for name, make in CHART_SPACES.items()}
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def chart_coords(space, point) -> np.ndarray:
+    """phi of one point as a flat array (the scalar side of the chart)."""
+    phi = space.chart.phi
+    c = point if phi is None else phi(point)
+    return np.atleast_1d(np.asarray(c))
+
+
+def draw_block(space, seed: int, n: int):
+    """n points' worth of draws from Random(seed), the rng after them, and the points
+    sample() gives from a fresh Random(seed)."""
+    rng = random.Random(seed)
+    u = np.array([rng.random() for _ in range(n * space.draws)]).reshape(n, space.draws)
+    ref = random.Random(seed)
+    points = [space.sample(ref) for _ in range(n)]
+    return u, rng, ref, points
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=SEEDS)
+def test_draws_decode_to_the_sampled_points(name, seed):
+    space = BUILT[name]
+    u, rng, ref, points = draw_block(space, seed, 6)
+    # the sampler consumes exactly `draws` rng.random() calls per point
+    assert rng.getstate() == ref.getstate()
+    # replaying each point's draws rebuilds exactly the sampled point
+    assert [space.sample(_Replay(row.tolist())) for row in u] == points
+    coords = space.decode(u)
+    for c, p in zip(coords, points):
+        want = chart_coords(space, p)
+        assert c.shape == want.shape
+        assert np.all(np.abs(c - want) <= 1e-13 * (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=SEEDS)
+def test_batched_rho_matches_scalar_distance(name, seed):
+    space = BUILT[name]
+    u, _, _, points = draw_block(space, seed, 8)
+    coords = space.decode(u)
+    batched = space.chart.rho(coords[:4], coords[4:])
+    for r, p, q in zip(batched, points[:4], points[4:]):
+        scalar = space.dist(p, q).log_value
+        assert abs(r - scalar) <= 1e-12 * (1 + scalar)
+
+
+def scalar_report(space, n, seed, slack_log=1e-10):
+    return verify_axioms(space.dist, space.sample, n, seed=seed, slack_log=slack_log,
+                         points_equal=space.points_equal)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(seed=SEEDS)
+def test_batched_report_equals_scalar_report(name, seed):
+    space = BUILT[name]
+    n = 30 if name == "func-sup" else 300
+    assert verify_axioms(space, n, seed=seed) == scalar_report(space, n, seed)
+
+
+@pytest.mark.parametrize("slack_log", [1e-10, 0.0])
+def test_screened_samples_are_confirmed_by_the_scalar_check(slack_log):
+    # on [1, 1 + 1e-11] every pair lies within the screen's margin of the
+    # point-equality tolerance, so every sample is rebuilt and checked by the
+    # scalar code; with no slack, rounding makes some triples fail m3 or the
+    # reverse inequality by an ulp, and those witnesses come out the same
+    space = spaces.positive_interval(1.0, 1.0 + 1e-11)
+    batched = verify_axioms(space, 400, seed=3, slack_log=slack_log)
+    assert batched == scalar_report(space, 400, 3, slack_log)
+    assert bool(batched.witnesses) == (slack_log == 0.0)
+
+
+def test_space_without_a_chart_takes_the_scalar_path():
+    space = spaces.product_space(spaces.positive_vectors(2), spaces.positive_vectors(2))
+    assert space.chart is None
+    report = verify_axioms(space, 200, seed=1)
+    assert report.all_ok and report == scalar_report(space, 200, 1)
+
+
+def test_space_form_rejects_positional_seed():
+    with pytest.raises(InputError):
+        verify_axioms(BUILT["pos-reals"], 10, 3)
+
+
+def test_function_samples_share_one_checked_grid():
+    space = spaces.function_space(0.0, 1.0, n_grid=32)
+    rng = random.Random(0)
+    f, g = space.sample(rng), space.sample(rng)
+    assert f.grid is g.grid
+    # an equal grid built apart still compares; a different grid of the same size does not
+    h = SampledPosFunction(tuple(f.grid), f.values)
+    assert dist_function_sup(f, h).log_value == 0.0
+    other = SampledPosFunction(tuple(x + 1.0 for x in f.grid), f.values)
+    with pytest.raises(ShapeError):
+        dist_function_sup(f, other)
+
+
+def test_chart_distance_keeps_the_formulas():
+    # the chart distances reproduce the closed forms bit for bit
+    rng = random.Random(5)
+    seg, d_a = BUILT["segment"], spaces.exp_metric(3, base=2.0)
+    for _ in range(200):
+        p, q = seg.sample(rng), seg.sample(rng)
+        gap = abs(math.log(p.u) - math.log(q.u)) + abs(math.log(p.v) - math.log(q.v))
+        assert seg.dist(p, q).log_value == gap / 3.0
+        x, y = d_a.sample(rng), d_a.sample(rng)
+        assert d_a.dist(x, y).log_value == math.log(2.0) * sum(abs(a - b) for a, b in zip(x, y))

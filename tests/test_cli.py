@@ -1,9 +1,12 @@
 import json
 import math
+import random
 
 import pytest
 
-from mulmetric import cli
+from mulmetric import cli, spaces
+from mulmetric.metric_core import ComplexVec, SampledPosFunction
+from mulmetric import registry
 from mulmetric.expressions import compile_expr
 from mulmetric.registry import (
     REGISTRY,
@@ -73,6 +76,16 @@ class TestSolve:
         assert json.loads(out.read_text())["steps"][0]["point"] == [0.6]
 
 
+    @pytest.mark.parametrize("space, x0, point", [
+        (["--space", "product-pos"], "1,2", [[1.0], [2.0]]),
+        (["--space", "d-a", "--dim", "2"], "1,2", [1.0, 2.0]),
+    ])
+    def test_vector_and_pair_start_points(self, space, x0, point, tmp_path):
+        out = tmp_path / "trace.json"
+        assert run(["solve", "--expr", "x", *space, "--x0", x0, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["footer"]["fixed_point"] == point
+
+
 BAD_FILE = "bad-lambda.txt"
 
 
@@ -91,9 +104,13 @@ class TestUsageErrors:
         ["solve", "--expr", "x^0.5", "--space", "real-line-exp", "--x0", "-4"],
         ["estimate", "--expr", "x^0.5", "--space", "real-line-exp"],
         ["solve", "--problem", "paper-scalar", "--x0", "5"],
+        ["solve", "--expr", "x", "--space", "func-sup"],
+        ["solve", "--expr", "x", "--space", "product-pos"],
+        ["solve", "--expr", "x/2", "--space", "d-a", "--dim", "2", "--x0", "1,2"],
     ], ids=["overflow", "zero-division", "log-domain", "vector-point", "bad-file-value",
             "complex-distance", "power-overflow", "distance-overflow", "complex-iterate",
-            "complex-estimate", "outside-interval"])
+            "complex-estimate", "outside-interval", "function-start", "pair-start-size",
+            "vector-map-d-a"])
     def test_exit_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / BAD_FILE).write_text("space_id = pos-reals\nmap_id = sqrt-toy\n"
@@ -186,8 +203,33 @@ class TestVerify:
         assert run(["verify", "--space", space_id, *bounds, "--samples", samples,
                     "--out", str(tmp_path / "report.json")]) == 0
 
+    @pytest.mark.parametrize("space_id", ["func-sup", "product-pos"])
+    def test_witness_points_replay(self, space_id, tmp_path):
+        # the identity map is no 1/2-contraction: every sampled pair is a witness
+        out = tmp_path / "report.json"
+        assert run(["verify", "--expr", "x", "--space", space_id, "--samples", "3",
+                    "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert len(report["witnesses"]) == 3
+        space = spaces.build(space_id)
+        if space_id == "func-sup":
+            grid = space.sample(random.Random(0)).grid
+            x, y = (SampledPosFunction(grid, p) for p in report["witnesses"][0]["points"])
+        else:
+            x, y = (tuple(c for (c,) in p) for p in report["witnesses"][0]["points"])
+        rho = space.dist(x, y).log_value
+        assert report["witnesses"][0]["values"] == [rho, 0.5 * rho]
+        assert rho > 0.5 * rho + report["slack_log"]
+
     def test_zero_dim_rejected(self):
         assert run(["verify", "--space", "d-star", "--dim", "0", "--samples", "5"]) == 2
+
+
+def test_encode_point_covers_every_point_type():
+    assert registry.encode_point(ComplexVec((1 + 2j, -3.0))) == [[1.0, 2.0], [-3.0, 0.0]]
+    assert registry.encode_point((2.0, (3.0, 4.0))) == [[2.0], [[3.0], [4.0]]]
+    f = SampledPosFunction((0.0, 1.0), (2.0, 3.0))
+    assert json.loads(json.dumps(registry.encode_point(f))) == [2.0, 3.0]
 
 
 class TestEstimate:
