@@ -11,6 +11,10 @@ this working tree:
   microseconds (the samplers and distances `solve`, `estimate` and
   `verify --problem` call one point at a time);
 - `verify_us_per_sample`: `verify --space`'s axiom check per sampled triple;
+- per registry problem, `verify_us_per_sample` of `verify --problem` (one
+  contraction check per sampled pair) and `estimate_us_per_pair` of
+  `estimate --problem`, each a whole `cli.main` call divided by its sample
+  count, so that the same probe runs on any revision with this CLI;
 - `criterion_5_s`: tests/test_acceptance.py::test_criterion_5_axiom_suite.
 
 Each figure is the minimum over ROUNDS runs that alternate the two trees, each
@@ -46,11 +50,16 @@ SPACES = {
     "product-pos": ("product-pos", {}, 1000),
     "func-sup": ("func-sup", {}, 50),
 }
+REGISTRY_IDS = ("paper-scalar", "paper-segment", "sqrt-toy", "quarter-kannan",
+                "quarter-chatterjea")
+# sampled pairs per `verify --problem` / `estimate --problem` call
+PROBLEM_SAMPLES = 2000
 
-# run inside the measured tree: prints one JSON object of per-space timings
+# run inside the measured tree: prints one JSON object of per-space and
+# per-problem timings
 PROBE = r"""
-import dataclasses, json, random, sys, time
-from mulmetric import spaces
+import contextlib, io, json, os, random, sys, time
+from mulmetric import cli, spaces
 from mulmetric.verifier import verify_axioms
 
 def per_call_us(fn, args, calls):
@@ -62,35 +71,48 @@ def per_call_us(fn, args, calls):
         best = min(best, (time.perf_counter() - t0) / (calls // len(args) * len(args)))
     return best * 1e6
 
-out = {}
-for name, (space_id, kw, n) in json.loads(sys.argv[1]).items():
+def best_s(fn, repeats=5):
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+def cli_run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"{argv} failed")
+
+space_table, problem_ids, n_pairs = json.loads(sys.argv[1])
+out = {"spaces": {}, "problems": {}}
+for name, (space_id, kw, n) in space_table.items():
     sp = spaces.build(space_id, **kw)
     rng = random.Random(1)
     points = [sp.sample(rng) for _ in range(64)]
     pairs = [(points[i], points[(7 * i + 3) % 64]) for i in range(64)]
     calls = 640 if name == "func-sup" else 64000
     rngs = [(random.Random(2),)]
-    batched = "chart" in {f.name for f in dataclasses.fields(sp)}
-    def verify():
-        if batched:
-            return verify_axioms(sp, n, seed=1)
-        return verify_axioms(sp.dist, sp.sample, n, seed=1, points_equal=sp.points_equal)
-    verify()
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        verify()
-        best = min(best, time.perf_counter() - t0)
-    out[name] = {"sample_us": per_call_us(sp.sample, rngs, calls // 4),
-                 "dist_us": per_call_us(sp.dist, pairs, calls),
-                 "verify_us_per_sample": best / n * 1e6}
+    verify_s = best_s(lambda: verify_axioms(sp, n, seed=1))
+    out["spaces"][name] = {"sample_us": per_call_us(sp.sample, rngs, calls // 4),
+                           "dist_us": per_call_us(sp.dist, pairs, calls),
+                           "verify_us_per_sample": verify_s / n * 1e6}
+for pid in problem_ids:
+    common = ["--problem", pid, "--seed", "1"]
+    verify_s = best_s(lambda: cli_run(["verify", *common, "--samples", str(n_pairs),
+                                       "--out", os.devnull]))
+    estimate_s = best_s(lambda: cli_run(["estimate", *common, "--pairs", str(n_pairs)]))
+    out["problems"][pid] = {"verify_us_per_sample": verify_s / n_pairs * 1e6,
+                            "estimate_us_per_pair": estimate_s / n_pairs * 1e6}
 print(json.dumps(out))
 """
 
 
 def run_probe(tree: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(SPACES)], env=env,
+    table = json.dumps([SPACES, REGISTRY_IDS, PROBLEM_SAMPLES])
+    proc = subprocess.run([sys.executable, "-c", PROBE, table], env=env,
                           capture_output=True, text=True, check=True, cwd=tree)
     return json.loads(proc.stdout)
 
@@ -117,10 +139,11 @@ def machine() -> dict:
 
 
 def merge_min(acc: dict, new: dict):
-    for space, figures in new.items():
-        slot = acc.setdefault(space, {})
-        for key, value in figures.items():
-            slot[key] = round(min(value, slot.get(key, value)), 3)
+    for section, entries in new.items():
+        for name, figures in entries.items():
+            slot = acc.setdefault(section, {}).setdefault(name, {})
+            for key, value in figures.items():
+                slot[key] = round(min(value, slot.get(key, value)), 3)
 
 
 def main() -> int:
@@ -136,16 +159,16 @@ def main() -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(parent)
         trees = {"parent": parent, "change": ROOT}
-        spaces = {side: {} for side in trees}
+        layers = {side: {} for side in trees}
         crit5 = {side: float("inf") for side in trees}
         for r in range(ROUNDS):
             order = list(trees) if r % 2 == 0 else list(reversed(trees))
             for side in order:
-                merge_min(spaces[side], run_probe(trees[side]))
+                merge_min(layers[side], run_probe(trees[side]))
                 crit5[side] = min(crit5[side], criterion_5_seconds(trees[side]))
     result = {"machine": machine(), "parent_rev": rev, "rounds": ROUNDS,
-              "parent": {"criterion_5_s": crit5["parent"], "spaces": spaces["parent"]},
-              "change": {"criterion_5_s": crit5["change"], "spaces": spaces["change"]}}
+              "parent": {"criterion_5_s": crit5["parent"], **layers["parent"]},
+              "change": {"criterion_5_s": crit5["change"], **layers["change"]}}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

@@ -20,7 +20,6 @@ from .spaces import SpaceInstance, SelfMap
 from .fixed_point import (
     ContractionSpec,
     SolverReport,
-    IterationTrace,
     banach_solve,
     ball_solve,
     power_solve,
@@ -37,7 +36,7 @@ __all__ = [
     "SegmentPoint", "MulBall", "mabs", "dist_pos_vec", "dist_exp",
     "dist_function_sup", "dist_segment", "ball_contains",
     "reverse_triangle_gap", "SpaceInstance", "SelfMap", "ContractionSpec",
-    "SolverReport", "IterationTrace", "banach_solve", "ball_solve",
+    "SolverReport", "banach_solve", "ball_solve",
     "power_solve", "kannan_solve", "chatterjea_solve", "estimate_lambda",
     "uniqueness_probe", "apriori_bound", "verify_axioms", "verify_contraction",
     "AxiomReport", "ContractionReport",

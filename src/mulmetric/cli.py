@@ -15,7 +15,7 @@ import sys
 from . import fixed_point as fp
 from . import registry as reg
 from . import spaces
-from .errors import MulMetricError
+from .errors import InputError, MulMetricError
 from .expressions import compile_expr
 from .verifier import verify_axioms, verify_contraction
 
@@ -40,7 +40,7 @@ def trace_to_dict(report: fp.SolverReport) -> dict:
                 "apriori_log": s.apriori_log,
                 "aposteriori_log": s.aposteriori_log,
             }
-            for s in report.trace.steps
+            for s in report.trace
         ],
         "footer": {
             "fixed_point": reg.encode_point(report.fixed_point),
@@ -124,23 +124,25 @@ def _verify_space(args) -> int:
 
 
 def _verify_expr_dist(args) -> int:
-    dist = compile_expr(args.expr_dist, ("x", "y"))
     lo = args.lo if args.lo is not None else -5.0
     hi = args.hi if args.hi is not None else 5.0
     # scalar samples: distinct floats are distinct points
-    report = verify_axioms(dist, lambda rng: rng.uniform(lo, hi),
-                           args.samples, args.seed, points_equal=operator.eq)
+    candidate = spaces.SpaceInstance(args.expr_dist, compile_expr(args.expr_dist, ("x", "y")),
+                                     lambda rng: rng.uniform(lo, hi), points_equal=operator.eq)
+    report = verify_axioms(candidate, args.samples, seed=args.seed)
     return _emit_report(report, report.all_ok, args.out)
 
 
 def _verify_contraction(args) -> int:
     pd, map_ = _load_problem(args)
-    report = verify_contraction(map_, map_.space.dist, pd.kind, pd.lam,
-                                map_.space.sample, args.samples, args.seed)
+    report = verify_contraction(map_, pd.kind, pd.lam, args.samples, args.seed)
     return _emit_report(report, report.condition_ok, args.out)
 
 
 def cmd_verify(args) -> int:
+    if args.complex and (args.expr_dist or args.problem or args.map or args.expr
+                         or args.space != "d-a"):
+        raise InputError("--complex applies only to verify --space d-a")
     if args.expr_dist:
         return _verify_expr_dist(args)
     if args.problem or args.map or args.expr:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
@@ -70,20 +70,12 @@ class TraceStep:
 
 
 @dataclass
-class IterationTrace:
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.steps)
-
-
-@dataclass
 class SolverReport:
     fixed_point: object
     residual_log: float
     iterations: int
     converged: bool
-    trace: IterationTrace
+    trace: list[TraceStep]
 
 
 @dataclass
@@ -120,15 +112,15 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
     if not (tol_log > 0):
         raise InputError(f"tol_log must be positive, got {tol_log}")
     space = map_.space
-    trace = IterationTrace()
+    trace: list[TraceStep] = []
 
     x = x0
     fx = map_(x)
     d10_log = space.dist(fx, x).log_value
     if d10_log <= tol_log:
         # degenerate start: x0 already (numerically) fixed
-        trace.steps.append(TraceStep(0, x, d10_log, apriori_bound(d10_log, rate, 0),
-                                     (rate / (1.0 - rate)) * d10_log))
+        trace.append(TraceStep(0, x, d10_log, apriori_bound(d10_log, rate, 0),
+                               (rate / (1.0 - rate)) * d10_log))
         return SolverReport(x, d10_log, 0, True, trace)
 
     prev_step_log = None
@@ -141,7 +133,7 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
                 f"contraction constant appears too small")
         apr = apriori_bound(d10_log, rate, n)
         apo = (rate / (1.0 - rate)) * step_log
-        trace.steps.append(TraceStep(n, x, step_log, apr, apo))
+        trace.append(TraceStep(n, x, step_log, apr, apo))
 
         if ball_log_radius is not None:
             drift = space.dist(fx, ball_center).log_value
@@ -154,9 +146,9 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
         # bounds on ln d(x_{n+1}, z): fresh a-priori and the a-posteriori above
         if min(apriori_bound(d10_log, rate, n + 1), apo) <= tol_log:
             residual_log = space.dist(fx, x).log_value
-            trace.steps.append(TraceStep(n + 1, x, residual_log,
-                                         apriori_bound(d10_log, rate, n + 1),
-                                         (rate / (1.0 - rate)) * residual_log))
+            trace.append(TraceStep(n + 1, x, residual_log,
+                                   apriori_bound(d10_log, rate, n + 1),
+                                   (rate / (1.0 - rate)) * residual_log))
             return SolverReport(x, residual_log, n + 1, True, trace)
         prev_step_log = step_log
 

@@ -295,26 +295,21 @@ class MulBall:
         return cls(center, math.log(radius), closed=True)
 
 
-def _dist_fn(dist):
-    # accept a bare distance callable or anything carrying a .dist attribute
-    return getattr(dist, "dist", dist)
-
-
-def ball_contains(ball: MulBall, p, dist) -> bool:
-    """Membership test: d(center, p) < eps (open) or <= eps (closed)."""
-    rho = _dist_fn(dist)(ball.center, p).log_value
+def ball_contains(ball: MulBall, p, space) -> bool:
+    """Membership test in the space's d: d(center, p) < eps (open) or <= eps (closed)."""
+    rho = space.dist(ball.center, p).log_value
     if ball.closed:
         return rho <= ball.log_radius
     return rho < ball.log_radius
 
 
-def reverse_triangle_gap(x, y, z, dist) -> tuple[MulDistance, MulDistance]:
-    """Both sides of the multiplicative reverse triangle inequality.
+def reverse_triangle_gap(x, y, z, space) -> tuple[MulDistance, MulDistance]:
+    """Both sides of the multiplicative reverse triangle inequality in the space's d.
 
     Returns (lhs, rhs) with lhs = | d(x,z)/d(y,z) |* and rhs = d(x,y);
     every multiplicative metric satisfies lhs <= rhs.
     """
-    d = _dist_fn(dist)
+    d = space.dist
     lhs = MulDistance(abs(d(x, z).log_value - d(y, z).log_value))
     rhs = d(x, y)
     return lhs, rhs

@@ -41,6 +41,9 @@ class SpaceInstance:
     A space whose distance is a chart's also has `draws`, the rng.random()
     calls `sample` makes per point, and `decode`, which maps such draws, shape
     (..., draws), to the chart coordinates of the points built from them.
+    `points_equal` tells distinct points apart when the distance alone cannot
+    (a candidate distance under test); None means the space's identity is its
+    distance.
     """
 
     name: str
@@ -49,9 +52,7 @@ class SpaceInstance:
     chart: Optional[Chart] = None
     draws: int = 0
     decode: Optional[Callable] = None
-
-    def points_equal(self, p: Point, q: Point) -> bool:
-        return self.dist(p, q).log_value <= mc.POINT_EQ_TOL_LOG
+    points_equal: Optional[Callable[[Point, Point], bool]] = None
 
 
 @dataclass(frozen=True)

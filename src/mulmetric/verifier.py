@@ -12,14 +12,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import repeat, starmap
-from typing import Callable, ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InputError
 from .fixed_point import ContractionSpec, contraction_logs
 from .metric_core import POINT_EQ_TOL_LOG, MulDistance
-from .spaces import SpaceInstance
+from .spaces import SelfMap, SpaceInstance
 
 DEFAULT_SLACK_LOG = 1e-10
 #: bound on |batched rho - scalar rho| / (1 + rho) on a chart space (sums in
@@ -120,7 +120,8 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int,
     random.Random(seed) stream, the five distances and the axiom tests on chart
     arrays.  A sample within a margin of failing a test (half the slack plus
     CHART_REL_ERR per distance) is rebuilt from its draws as exact points and
-    checked by the scalar code, which alone writes witnesses."""
+    checked by the scalar code, which alone writes witnesses.  The space's
+    identity is its distance, so the distinct-points m1 test is vacuous."""
     draw, k, rho = random.Random(seed).random, space.draws, space.chart.rho
     width = space.decode(np.zeros(k)).shape[-1]
     block = max(1, BLOCK_FLOATS // (3 * max(k, width)))
@@ -131,68 +132,58 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int,
         x, y, z = np.moveaxis(space.decode(u), 1, 0)
         dxy, dyx, dxz, dyz, dxx = rho(x, y), rho(y, x), rho(x, z), rho(y, z), rho(x, x)
         margin = 0.5 * slack_log + CHART_REL_ERR * (5 + dxy + dyx + dxz + dyz + dxx)
-        near = ((dxy < margin - slack_log) | (dxy <= POINT_EQ_TOL_LOG + margin)
-                | (np.abs(dxx) > slack_log - margin) | (np.abs(dxy - dyx) > slack_log - margin)
+        near = ((dxy < margin - slack_log) | (np.abs(dxx) > slack_log - margin)
+                | (np.abs(dxy - dyx) > slack_log - margin)
                 | (dxz > dxy + dyz + slack_log - margin)
                 | (np.abs(dxz - dyz) > dxy + slack_log - margin))
         for i in np.flatnonzero(near):
             replay = _Replay(u[i].ravel().tolist())
             points = [space.sample(replay) for _ in range(3)]
-            witnesses += _axiom_witnesses(space.dist, *points, slack_log, space.points_equal)
+            witnesses += _axiom_witnesses(space.dist, *points, slack_log, None)
     return witnesses
 
 
-def verify_axioms(distance, sampler, n_samples=None, seed: int = 0,
-                  slack_log: float = DEFAULT_SLACK_LOG,
-                  points_equal: Optional[Callable] = None) -> AxiomReport:
-    """Sample pairs and triples and test m1-m3 plus the reverse inequality.
+def verify_axioms(space: SpaceInstance, n_samples: int, seed: int = 0,
+                  slack_log: float = DEFAULT_SLACK_LOG) -> AxiomReport:
+    """Sample triples from the space and test m1-m3 and the reverse inequality.
 
     m1 is checked in both directions: d(x, x) must be 1, every sampled pair
-    must have d >= 1, and (when a points_equal predicate is supplied) a
+    must have d >= 1, and (when the space has a points_equal predicate) a
     distance within the point-equality tolerance between distinct points is
-    flagged.  A pair gets at most one m1 witness.
-
-    `verify_axioms(space, n_samples, seed=..., slack_log=...)` checks a
-    SpaceInstance with its own distance, sampler and point equality; when the
-    space has a chart the samples are checked in numpy batches, with the same
-    report.
+    flagged.  A pair gets at most one m1 witness.  A chart space whose
+    identity is its distance (points_equal None) is checked in numpy
+    batches, with the same report.
     """
-    space = distance if isinstance(distance, SpaceInstance) else None
-    if space is not None:
-        if n_samples is not None or points_equal is not None:
-            raise InputError("verify_axioms(space, n_samples) takes the rest by keyword")
-        n_samples, distance, sampler = sampler, space.dist, space.sample
-        points_equal = space.points_equal
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    if space is not None and space.chart is not None:
+    if space.chart is not None and space.points_equal is None:
         witnesses = _chart_witnesses(space, n_samples, seed, slack_log)
     else:
-        rng = random.Random(seed)
+        rng, dist, sample = random.Random(seed), space.dist, space.sample
         witnesses = []
         for _ in range(n_samples):
-            x, y, z = sampler(rng), sampler(rng), sampler(rng)
-            witnesses += _axiom_witnesses(distance, x, y, z, slack_log, points_equal)
+            x, y, z = sample(rng), sample(rng), sample(rng)
+            witnesses += _axiom_witnesses(dist, x, y, z, slack_log, space.points_equal)
 
     flagged = {w.axiom for w in witnesses}
     return AxiomReport("m1" not in flagged, "m2" not in flagged, "m3" not in flagged,
                        "reverse" not in flagged, witnesses, n_samples, seed, slack_log)
 
 
-def verify_contraction(map_: Callable, distance: Callable, kind: str, lam: float,
-                       sampler: Callable, n_samples: int, seed: int = 0,
+def verify_contraction(map_: SelfMap, kind: str, lam: float, n_samples: int, seed: int = 0,
                        slack_log: float = DEFAULT_SLACK_LOG) -> ContractionReport:
-    """Test the contraction inequality of the given kind on sampled pairs."""
+    """Test the kind's contraction inequality on pairs sampled from the map's space."""
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     spec = ContractionSpec(kind, lam)  # checks the kind and the range of lambda
 
+    dist, sample = map_.space.dist, map_.space.sample
     rng = random.Random(seed)
     witnesses: list[Witness] = []
     for _ in range(n_samples):
-        x, y = sampler(rng), sampler(rng)
+        x, y = sample(rng), sample(rng)
         fx, fy = map_(x), map_(y)
-        lhs, q = contraction_logs(spec.kind, distance, x, y, fx, fy)
+        lhs, q = contraction_logs(spec.kind, dist, x, y, fx, fy)
         rhs = spec.lam * q
         if lhs > rhs + slack_log:
             witnesses.append(Witness(kind, (x, y), (lhs, rhs)))

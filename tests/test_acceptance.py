@@ -64,9 +64,7 @@ def test_criterion_1_paper_scalar_example():
 
 def test_criterion_2_paper_contraction_certificate():
     m = scalar_map()
-    report = verify_contraction(m.fn, m.space.dist, "banach", 0.997,
-                                m.space.sample, 10**4, seed=2024,
-                                slack_log=1e-10)
+    report = verify_contraction(m, "banach", 0.997, 10**4, seed=2024, slack_log=1e-10)
     lam_hat, _ = estimate_lambda(m, 10**4, "banach", seed=2024)
     ok = report.condition_ok and lam_hat <= 0.997
     announce(2, ok, f"condition holds on 1e4 pairs; lambda_hat = {lam_hat:.4f} <= 0.997")
@@ -90,8 +88,8 @@ def test_criterion_4_bound_envelope():
     m = scalar_map()
     report = banach_solve(m, 0.5, ContractionSpec("banach", 0.997),
                           tol_log=1e-10, max_iter=10**5)
-    d10 = report.trace.steps[0].step_log
-    for s in report.trace.steps:
+    d10 = report.trace[0].step_log
+    for s in report.trace:
         gap = m.space.dist(s.point, PAPER_SCALAR_Z).log_value
         ok &= gap <= apriori_bound(d10, 0.997, s.n) + 1e-9
 
@@ -99,8 +97,8 @@ def test_criterion_4_bound_envelope():
     target = SegmentPoint(1.0, 1.0)
     report = banach_solve(seg, SegmentPoint(2, 1), ContractionSpec("banach", 0.5),
                           tol_log=1e-13)
-    d10 = report.trace.steps[0].step_log
-    for s in report.trace.steps:
+    d10 = report.trace[0].step_log
+    for s in report.trace:
         gap = seg.space.dist(s.point, target).log_value
         ok &= gap <= apriori_bound(d10, 0.5, s.n) + 1e-9
     announce(4, ok, "every traced iterate obeys the geometric a-priori envelope")
@@ -127,7 +125,8 @@ def test_criterion_5_axiom_suite():
         ok &= report.all_ok
 
     bad = lambda x, y: math.exp((x - y) ** 2)
-    refutation = verify_axioms(bad, lambda rng: float(rng.randint(-3, 3)),
+    refutation = verify_axioms(spaces.SpaceInstance("e^((x-y)^2)", bad,
+                                                    lambda rng: float(rng.randint(-3, 3))),
                                10**3, seed=5)
     ok &= not refutation.m3_ok
     ok &= any(w.axiom == "m3" for w in refutation.witnesses)
@@ -160,10 +159,8 @@ def test_criterion_7_kannan_chatterjea():
 
     line = spaces.real_line_exp()
     quarter = SelfMap("quarter", lambda x: x / 4.0, line)
-    ok &= verify_contraction(quarter.fn, line.dist, "kannan", 1 / 3,
-                             line.sample, 10**3, seed=7).condition_ok
-    ok &= verify_contraction(quarter.fn, line.dist, "chatterjea", 1 / 5,
-                             line.sample, 10**3, seed=7).condition_ok
+    ok &= verify_contraction(quarter, "kannan", 1 / 3, 10**3, seed=7).condition_ok
+    ok &= verify_contraction(quarter, "chatterjea", 1 / 5, 10**3, seed=7).condition_ok
 
     kr = kannan_solve(quarter, 8.0, ContractionSpec("kannan", 1 / 3), tol_log=1e-10)
     cr = chatterjea_solve(quarter, 8.0, ContractionSpec("chatterjea", 1 / 5),

@@ -1,6 +1,7 @@
 """Chart spaces: the batched draws and distances against the scalar sampler and
 distance, and the batched axiom verifier against the scalar one."""
 
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulmetric import spaces
-from mulmetric.errors import InputError, ShapeError
+from mulmetric.errors import ShapeError
 from mulmetric.metric_core import SampledPosFunction, dist_function_sup
 from mulmetric.verifier import _Replay, verify_axioms
 
@@ -78,8 +79,8 @@ def test_batched_rho_matches_scalar_distance(name, seed):
 
 
 def scalar_report(space, n, seed, slack_log=1e-10):
-    return verify_axioms(space.dist, space.sample, n, seed=seed, slack_log=slack_log,
-                         points_equal=space.points_equal)
+    return verify_axioms(dataclasses.replace(space, chart=None), n, seed=seed,
+                         slack_log=slack_log)
 
 
 @pytest.mark.parametrize("name", sorted(BUILT))
@@ -93,10 +94,11 @@ def test_batched_report_equals_scalar_report(name, seed):
 
 @pytest.mark.parametrize("slack_log", [1e-10, 0.0])
 def test_screened_samples_are_confirmed_by_the_scalar_check(slack_log):
-    # on [1, 1 + 1e-11] every pair lies within the screen's margin of the
-    # point-equality tolerance, so every sample is rebuilt and checked by the
-    # scalar code; with no slack, rounding makes some triples fail m3 or the
-    # reverse inequality by an ulp, and those witnesses come out the same
+    # on [1, 1 + 1e-11] every ln d lies below the 1e-10 slack, so nothing
+    # fails; with no slack the screen's threshold for |ln d(x, x)| is negative,
+    # so every sample is rebuilt and checked by the scalar code, rounding makes
+    # some triples fail m3 or the reverse inequality by an ulp, and those
+    # witnesses come out the same
     space = spaces.positive_interval(1.0, 1.0 + 1e-11)
     batched = verify_axioms(space, 400, seed=3, slack_log=slack_log)
     assert batched == scalar_report(space, 400, 3, slack_log)
@@ -110,9 +112,10 @@ def test_space_without_a_chart_takes_the_scalar_path():
     assert report.all_ok and report == scalar_report(space, 200, 1)
 
 
-def test_space_form_rejects_positional_seed():
-    with pytest.raises(InputError):
-        verify_axioms(BUILT["pos-reals"], 10, 3)
+def test_every_space_id_builds_with_distance_identity():
+    # points_equal None: the batched path serves every chart space of the table
+    for space_id in spaces.SPACES:
+        assert spaces.build(space_id, lo=0.1, hi=1.0).points_equal is None
 
 
 def test_function_samples_share_one_checked_grid():

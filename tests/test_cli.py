@@ -107,10 +107,15 @@ class TestUsageErrors:
         ["solve", "--expr", "x", "--space", "func-sup"],
         ["solve", "--expr", "x", "--space", "product-pos"],
         ["solve", "--expr", "x/2", "--space", "d-a", "--dim", "2", "--x0", "1,2"],
+        ["verify", "--expr", "x", "--space", "d-a", "--dim", "1", "--complex"],
+        ["verify", "--space", "pos-reals", "--complex"],
+        ["verify", "--problem", "sqrt-toy", "--complex"],
+        ["verify", "--expr-dist", "abs(x-y)+1", "--complex"],
     ], ids=["overflow", "zero-division", "log-domain", "vector-point", "bad-file-value",
             "complex-distance", "power-overflow", "distance-overflow", "complex-iterate",
             "complex-estimate", "outside-interval", "function-start", "pair-start-size",
-            "vector-map-d-a"])
+            "vector-map-d-a", "complex-map", "complex-pos-reals", "complex-problem",
+            "complex-expr-dist"])
     def test_exit_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / BAD_FILE).write_text("space_id = pos-reals\nmap_id = sqrt-toy\n"

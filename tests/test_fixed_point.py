@@ -99,7 +99,7 @@ class TestBanachSolve:
         assert report.converged
         assert report.fixed_point == pytest.approx(1.0, abs=1e-11)
         # iterates 16, 4, 2, sqrt(2), ...
-        pts = [s.point for s in report.trace.steps[:4]]
+        pts = [s.point for s in report.trace[:4]]
         assert pts[:3] == [16.0, 4.0, 2.0]
         assert pts[3] == pytest.approx(math.sqrt(2))
 
@@ -127,14 +127,14 @@ class TestBanachSolve:
 
     def test_step_chain_invariant(self):
         report = banach_solve(SQRT, 16.0, BANACH_HALF, tol_log=1e-12)
-        d10 = report.trace.steps[0].step_log
-        for s in report.trace.steps:
+        d10 = report.trace[0].step_log
+        for s in report.trace:
             assert s.step_log <= 0.5**s.n * d10 + 1e-10
 
     def test_apriori_envelope(self):
         report = banach_solve(SQRT, 16.0, BANACH_HALF, tol_log=1e-12)
-        d10 = report.trace.steps[0].step_log
-        for s in report.trace.steps:
+        d10 = report.trace[0].step_log
+        for s in report.trace:
             gap = POS.dist(s.point, 1.0).log_value
             assert gap <= apriori_bound(d10, 0.5, s.n) + 1e-9
 
@@ -149,7 +149,7 @@ class TestBanachSolve:
                               tol_log=1e-14, max_iter=10)
         assert not report.converged
         assert report.iterations == 10
-        assert len(report.trace.steps) == 10
+        assert len(report.trace) == 10
 
     def test_kind_mismatch(self):
         with pytest.raises(InputError):
@@ -161,7 +161,7 @@ class TestBanachSolve:
         scaled = SelfMap("scaled-sqrt", lambda x: s * math.sqrt(x / s), POS)
         base = banach_solve(SQRT, 16.0, BANACH_HALF, tol_log=1e-10)
         conj = banach_solve(scaled, s * 16.0, BANACH_HALF, tol_log=1e-10)
-        for a, b in zip(base.trace.steps, conj.trace.steps):
+        for a, b in zip(base.trace, conj.trace):
             assert abs(a.step_log - b.step_log) <= 1e-12
 
 
@@ -255,8 +255,8 @@ class TestKannanChatterjea:
         report = kannan_solve(self.QUARTER, 8.0, ContractionSpec("kannan", 1 / 3),
                               tol_log=1e-10)
         h = 0.5
-        d10 = report.trace.steps[0].step_log
-        for s in report.trace.steps:
+        d10 = report.trace[0].step_log
+        for s in report.trace:
             assert s.step_log <= h**s.n * d10 + 1e-10
 
 

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import math
+import operator
 
 import pytest
 
 from mulmetric import spaces
 from mulmetric.errors import InputError
 from mulmetric.metric_core import PosVec
+from mulmetric.spaces import SelfMap, SpaceInstance
 from mulmetric.verifier import verify_axioms, verify_contraction
 
 
@@ -14,32 +17,38 @@ def euclid_square_exp(x, y):
     return math.exp((x - y) ** 2)
 
 
+def candidate(dist, sample, points_equal=None):
+    """A candidate distance on scalar samples, checked on the scalar path."""
+    return SpaceInstance("candidate", dist, sample, points_equal=points_equal)
+
+
+def scalar(space):
+    """The space without its chart: the scalar reference path."""
+    return dataclasses.replace(space, chart=None)
+
+
 class TestVerifyAxioms:
     def test_d_star_passes(self):
-        sp = spaces.positive_vectors(3)
-        report = verify_axioms(sp.dist, sp.sample, 2000, seed=1,
-                               points_equal=sp.points_equal)
+        report = verify_axioms(scalar(spaces.positive_vectors(3)), 2000, seed=1)
         assert report.all_ok
         assert report.witnesses == []
         assert report.samples_used == 2000
         assert report.sampled_not_proved
 
     def test_segment_metric_passes(self):
-        sp = spaces.segment_space()
-        report = verify_axioms(sp.dist, sp.sample, 2000, seed=1,
-                               points_equal=sp.points_equal)
+        report = verify_axioms(scalar(spaces.segment_space()), 2000, seed=1)
         assert report.all_ok
 
     def test_refutes_squared_exponent(self):
-        report = verify_axioms(euclid_square_exp,
-                               lambda rng: float(rng.randint(-3, 3)),
+        report = verify_axioms(candidate(euclid_square_exp,
+                                         lambda rng: float(rng.randint(-3, 3))),
                                500, seed=0)
         assert not report.m3_ok
         assert any(w.axiom == "m3" for w in report.witnesses)
 
     def test_witnesses_replay(self):
-        report = verify_axioms(euclid_square_exp,
-                               lambda rng: rng.uniform(-3, 3), 500, seed=2)
+        report = verify_axioms(candidate(euclid_square_exp, lambda rng: rng.uniform(-3, 3)),
+                               500, seed=2)
         for w in report.witnesses:
             if w.axiom != "m3":
                 continue
@@ -60,41 +69,55 @@ class TestVerifyAxioms:
         # are distinct and d > 1, so m1 holds
         sp = spaces.positive_vectors(1)
         points = itertools.cycle([PosVec((1.0,)), PosVec((1.0 + 5e-11,))])
-        report = verify_axioms(sp.dist, lambda rng: next(points), 10, seed=0,
-                               points_equal=sp.points_equal)
+        report = verify_axioms(candidate(sp.dist, lambda rng: next(points), operator.eq),
+                               10, seed=0)
         assert report.m1_ok
         assert report.witnesses == []
 
+    def test_constant_distance_refuted_on_m1(self):
+        # d = 1 for distinct floats violates m1; only points_equal can see it
+        dist, sample = lambda x, y: 1, lambda rng: rng.uniform(-5, 5)
+        report = verify_axioms(candidate(dist, sample, operator.eq), 50, seed=4)
+        assert not report.m1_ok
+        assert report.witnesses
+        for w in report.witnesses:
+            x, y = w.points
+            assert w.axiom == "m1" and x != y
+            assert math.log(dist(x, y)) == w.values[0] <= 1e-12
+
+    def test_constant_distance_without_points_equal_not_refuted(self):
+        # points_equal None: the identity is the distance, so d = 1 means x = y
+        report = verify_axioms(candidate(lambda x, y: 1, lambda rng: rng.uniform(-5, 5)),
+                               50, seed=4)
+        assert report.all_ok
+
     def test_replay_determinism(self):
-        sp = spaces.positive_vectors(2)
-        a = verify_axioms(sp.dist, sp.sample, 300, seed=42)
-        b = verify_axioms(sp.dist, sp.sample, 300, seed=42)
+        sp = scalar(spaces.positive_vectors(2))
+        a = verify_axioms(sp, 300, seed=42)
+        b = verify_axioms(sp, 300, seed=42)
         assert a == b
 
     def test_rejects_zero_samples(self):
-        sp = spaces.positive_reals()
         with pytest.raises(InputError):
-            verify_axioms(sp.dist, sp.sample, 0)
+            verify_axioms(spaces.positive_reals(), 0)
 
 
 class TestVerifyContraction:
     def test_sqrt_banach_half(self):
-        sp = spaces.positive_reals()
-        report = verify_contraction(math.sqrt, sp.dist, "banach", 0.5,
-                                    sp.sample, 2000, seed=0)
+        sqrt = SelfMap("sqrt", math.sqrt, spaces.positive_reals())
+        report = verify_contraction(sqrt, "banach", 0.5, 2000, seed=0)
         assert report.condition_ok
 
     def test_paper_scalar_condition(self):
-        sp = spaces.positive_interval(0.1, 1.0)
-        fn = lambda x: math.exp(x - 1 - x**3 / 10)
-        report = verify_contraction(fn, sp.dist, "banach", 0.997,
-                                    sp.sample, 2000, seed=0)
+        fn = SelfMap("paper-scalar", lambda x: math.exp(x - 1 - x**3 / 10),
+                     spaces.positive_interval(0.1, 1.0))
+        report = verify_contraction(fn, "banach", 0.997, 2000, seed=0)
         assert report.condition_ok
 
     def test_square_map_refuted(self):
         sp = spaces.positive_reals()
-        report = verify_contraction(lambda x: x * x, sp.dist, "banach", 0.9,
-                                    sp.sample, 2000, seed=0)
+        report = verify_contraction(SelfMap("square", lambda x: x * x, sp), "banach", 0.9,
+                                    2000, seed=0)
         assert not report.condition_ok
         assert report.witnesses
         # each witness truly violates: lhs > lambda * ln d(x, y) + slack
@@ -105,28 +128,24 @@ class TestVerifyContraction:
             assert lhs > rhs + report.slack_log
 
     def test_kannan_quarter(self):
-        sp = spaces.real_line_exp()
-        report = verify_contraction(lambda x: x / 4, sp.dist, "kannan", 1 / 3,
-                                    sp.sample, 2000, seed=0)
+        quarter = SelfMap("quarter", lambda x: x / 4, spaces.real_line_exp())
+        report = verify_contraction(quarter, "kannan", 1 / 3, 2000, seed=0)
         assert report.condition_ok
 
     def test_chatterjea_quarter(self):
-        sp = spaces.real_line_exp()
-        report = verify_contraction(lambda x: x / 4, sp.dist, "chatterjea", 0.2,
-                                    sp.sample, 2000, seed=0)
+        quarter = SelfMap("quarter", lambda x: x / 4, spaces.real_line_exp())
+        report = verify_contraction(quarter, "chatterjea", 0.2, 2000, seed=0)
         assert report.condition_ok
 
     def test_lambda_range_validation(self):
-        sp = spaces.positive_reals()
+        sqrt = SelfMap("sqrt", math.sqrt, spaces.positive_reals())
         with pytest.raises(InputError):
-            verify_contraction(math.sqrt, sp.dist, "kannan", 0.5, sp.sample, 10)
+            verify_contraction(sqrt, "kannan", 0.5, 10)
         with pytest.raises(InputError):
-            verify_contraction(math.sqrt, sp.dist, "banach", 1.0, sp.sample, 10)
+            verify_contraction(sqrt, "banach", 1.0, 10)
 
     def test_replay_determinism(self):
-        sp = spaces.positive_reals()
-        a = verify_contraction(math.sqrt, sp.dist, "banach", 0.5, sp.sample,
-                               300, seed=9)
-        b = verify_contraction(math.sqrt, sp.dist, "banach", 0.5, sp.sample,
-                               300, seed=9)
+        sqrt = SelfMap("sqrt", math.sqrt, spaces.positive_reals())
+        a = verify_contraction(sqrt, "banach", 0.5, 300, seed=9)
+        b = verify_contraction(sqrt, "banach", 0.5, 300, seed=9)
         assert a == b
