@@ -15,6 +15,11 @@ this working tree:
   contraction check per sampled pair) and `estimate_us_per_pair` of
   `estimate --problem`, each a whole `cli.main` call divided by its sample
   count, so that the same probe runs on any revision with this CLI;
+- `sequence_analysis`: `bounded_diagnostic_us` and `cauchy_diagnostic_us`, one
+  call each on a pos-reals sequence of n = 50, 200 and 800 terms;
+- `calibration`: the median of 21 runs of perfbench's calibration kernel
+  (`calib.time_kernel`) in the same probe, in milliseconds: a layer figure
+  divided by its side's `kernel_ms` reads speed-normalised;
 - `criterion_5_s`: tests/test_acceptance.py::test_criterion_5_axiom_suite.
 
 Each figure is the minimum over ROUNDS runs that alternate the two trees, each
@@ -58,9 +63,10 @@ PROBLEM_SAMPLES = 2000
 # run inside the measured tree: prints one JSON object of per-space and
 # per-problem timings
 PROBE = r"""
-import contextlib, io, json, os, random, sys, time
-from mulmetric import cli, spaces
+import contextlib, io, json, math, os, random, statistics, sys, time
+from mulmetric import cli, sequence_analysis, spaces
 from mulmetric.verifier import verify_axioms
+from perfbench import calib
 
 def per_call_us(fn, args, calls):
     best = float("inf")
@@ -70,6 +76,11 @@ def per_call_us(fn, args, calls):
             fn(*a)
         best = min(best, (time.perf_counter() - t0) / (calls // len(args) * len(args)))
     return best * 1e6
+
+def adaptive_us(fn, budget_s=0.02):
+    t0 = time.perf_counter()
+    fn()
+    return per_call_us(fn, [()], max(1, int(budget_s / (time.perf_counter() - t0))))
 
 def best_s(fn, repeats=5):
     fn()
@@ -86,7 +97,9 @@ def cli_run(argv):
             raise SystemExit(f"{argv} failed")
 
 space_table, problem_ids, n_pairs = json.loads(sys.argv[1])
-out = {"spaces": {}, "problems": {}}
+out = {"spaces": {}, "problems": {}, "sequence_analysis": {},
+       "calibration": {"kernel": {"kernel_ms": statistics.median(
+           calib.time_kernel() for _ in range(21)) * 1e3}}}
 for name, (space_id, kw, n) in space_table.items():
     sp = spaces.build(space_id, **kw)
     rng = random.Random(1)
@@ -105,6 +118,15 @@ for pid in problem_ids:
     estimate_s = best_s(lambda: cli_run(["estimate", *common, "--pairs", str(n_pairs)]))
     out["problems"][pid] = {"verify_us_per_sample": verify_s / n_pairs * 1e6,
                             "estimate_us_per_pair": estimate_s / n_pairs * 1e6}
+pos, seq_rng = spaces.positive_reals(), random.Random(3)
+for n in (50, 200, 800):
+    # a converging sequence; its bounded_diagnostic centre is near index 15
+    seq = [math.exp(3.0 * 0.9**k * seq_rng.uniform(-1, 1)) for k in range(n)]
+    out["sequence_analysis"][f"n={n}"] = {
+        "bounded_diagnostic_us": adaptive_us(
+            lambda: sequence_analysis.bounded_diagnostic(seq, pos)),
+        "cauchy_diagnostic_us": adaptive_us(
+            lambda: sequence_analysis.cauchy_diagnostic(seq, pos, 1e-3))}
 print(json.dumps(out))
 """
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import DomainError, InputError
 from .metric_core import MulDistance, mabs
 from .spaces import SpaceInstance, real_line_exp
 
@@ -53,6 +53,30 @@ def tail_start(n: int) -> int:
     return max(0, n - window)
 
 
+def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0):
+    """max over j > k of rho(x_k, x_j) for k = start .. n-2, bit-equal to the pair
+    loop, by one backward scan of a one-coordinate chart (float subtraction and
+    the scale are monotone, so a row's largest gap is to the largest or smallest
+    later coordinate).  None without such a chart or with a coordinate that is
+    not a finite number: the pair loop then runs, and raises, as before."""
+    chart = space.chart
+    if chart is None or not chart.scalar:
+        return None
+    phi = chart.phi or (lambda x: x)
+    try:
+        c = [phi(seq[k]) for k in range(start, len(seq))]
+        if not all(map(math.isfinite, c)):
+            return None
+    except (DomainError, ArithmeticError, ValueError, TypeError):
+        return None
+    unit, hi, lo, maxima = chart.factor == chart.divisor == 1.0, c[-1], c[-1], []
+    for x in reversed(c[:-1]):
+        r = max(abs(x - hi), abs(x - lo))
+        maxima.append(r if unit else r * chart.factor / chart.divisor)
+        hi, lo = max(hi, x), min(lo, x)
+    return maxima[::-1]
+
+
 def convergence_diagnostic(seq: Sequence, limit, space: SpaceInstance,
                            tol_log: float) -> SeqDiagnostic:
     """Does ln d(x_n, limit) stay below tol_log over the tail window?"""
@@ -85,7 +109,12 @@ def cauchy_diagnostic(seq: Sequence, space: SpaceInstance, tol_log: float,
         raise InputError(f"window {window} exceeds sequence length {len(seq)}")
     start = len(seq) - window
     worst, worst_pair = -1.0, None
-    for i in range(start, len(seq)):
+    rows = range(start, len(seq))
+    maxima = _row_maxima(seq, space, start)
+    if maxima:
+        # the loop's witness is the first pair at the largest value, in its first row
+        rows = [start + maxima.index(max(maxima))]
+    for i in rows:
         for j in range(i + 1, len(seq)):
             rho = space.dist(seq[i], seq[j]).log_value
             if rho > worst:
@@ -104,15 +133,18 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
     distances below 2; M = max{2, distances of the earlier elements to the
     center}.  Every element then satisfies d(x_n, x_n0) <= M.  Tails are
     nested, so n0 is one past the last index k with some d(x_k, x_j) >= 2,
-    j > k.  Every row of the upper triangle is evaluated in full, so a call
+    j > k.  On a one-coordinate chart the row maxima come from one O(n) scan;
+    elsewhere every row of the upper triangle is evaluated in full, so a call
     costs n(n-1)/2 + n distances whatever the terms are.
     """
     if len(seq) == 0:
         raise InputError("empty sequence")
     ln2 = math.log(2.0)
     n, n0 = len(seq), 0
+    maxima = _row_maxima(seq, space)
     for k in range(n - 1):
-        if not all([space.dist(seq[k], seq[j]).log_value < ln2 for j in range(k + 1, n)]):
+        if not (maxima[k] < ln2 if maxima else
+                all([space.dist(seq[k], seq[j]).log_value < ln2 for j in range(k + 1, n)])):
             n0 = k + 1
     row = [space.dist(x, seq[n0]).log_value for x in seq]
     m_log = max([ln2] + row[:n0])
@@ -134,10 +166,11 @@ def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[floa
         if (supremum and a > cand) or (not supremum and a < cand):
             return SeqDiagnostic(False, i, mabs(cand / a),
                                  f"element {a} violates the {word} bound {cand}")
+    # an empty schedule never looks at the gaps (one may underflow to a DomainError)
+    closest = min([mabs(cand / a).log_value for a in elems]) if len(eps_schedule) else None
     for k, eps in enumerate(eps_schedule):
-        gaps = [mabs(cand / a).log_value for a in elems]
-        if min(gaps) >= math.log(eps):
-            return SeqDiagnostic(False, k, MulDistance(min(gaps)),
+        if closest >= math.log(eps):
+            return SeqDiagnostic(False, k, MulDistance(closest),
                                  f"no element within multiplicative eps={eps} of {word}={cand}")
     return SeqDiagnostic(True, detail=f"{word} characterization holds for {cand}")
 
@@ -174,7 +207,8 @@ def monotone_subsequence(seq: Sequence[float]) -> list[int]:
     peaks.reverse()
 
     chain = []
-    i = next((k for k in range(n) if k not in set(peaks)), None)
+    peak_set = set(peaks)
+    i = next((k for k in range(n) if k not in peak_set), None)
     if i is not None:
         chain.append(i)
         while True:

@@ -95,14 +95,22 @@ def test_batched_report_equals_scalar_report(name, seed):
 @pytest.mark.parametrize("slack_log", [1e-10, 0.0])
 def test_screened_samples_are_confirmed_by_the_scalar_check(slack_log):
     # on [1, 1 + 1e-11] every ln d lies below the 1e-10 slack, so nothing
-    # fails; with no slack the screen's threshold for |ln d(x, x)| is negative,
-    # so every sample is rebuilt and checked by the scalar code, rounding makes
-    # some triples fail m3 or the reverse inequality by an ulp, and those
-    # witnesses come out the same
+    # fails; with no slack the screen's threshold for |ln d(x, x)| would be
+    # negative and every sample would be rebuilt, so the scalar path runs
+    # (decode is never called), rounding makes some triples fail m3 or the
+    # reverse inequality by an ulp, and those witnesses come out the same
     space = spaces.positive_interval(1.0, 1.0 + 1e-11)
-    batched = verify_axioms(space, 400, seed=3, slack_log=slack_log)
+    decoded = []
+
+    def decode(u):
+        decoded.append(len(u))
+        return space.decode(u)
+
+    batched = verify_axioms(dataclasses.replace(space, decode=decode), 400, seed=3,
+                            slack_log=slack_log)
     assert batched == scalar_report(space, 400, 3, slack_log)
     assert bool(batched.witnesses) == (slack_log == 0.0)
+    assert bool(decoded) == (slack_log > 0.0)
 
 
 def test_space_without_a_chart_takes_the_scalar_path():

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mulmetric import spaces
 from mulmetric.errors import InputError
-from mulmetric.metric_core import PosVec
+from mulmetric.metric_core import PosVec, SegmentPoint
 from mulmetric.sequence_analysis import (
     bounded_diagnostic,
     bw_extract,
@@ -131,6 +134,92 @@ class TestBoundedDiagnostic:
             calls.clear()
             bounded_diagnostic(seq, counting)
             assert len(calls) == n * (n - 1) // 2 + n, shape
+
+
+# the one-coordinate chart spaces, each with a map from [0, 1] onto its points
+ONE_COORDINATE = {
+    "pos-reals": (POS, lambda u: math.exp(8.0 * u - 4.0)),
+    "pos-interval": (spaces.positive_interval(0.5, 4.0), lambda u: 0.5 * 8.0**u),
+    "real-line-exp": (spaces.real_line_exp(), lambda u: 20.0 * u - 10.0),
+    "segment": (spaces.segment_space(), lambda u: (SegmentPoint(2.0 * u, 1.0) if u >= 0.5
+                                                   else SegmentPoint(1.0, 2.0 - 2.0 * u))),
+}
+
+
+def without_chart(space):
+    """The space without its chart: the pair loops, the reference path."""
+    return dataclasses.replace(space, chart=None)
+
+
+@st.composite
+def unit_sequences(draw):
+    """Draws in [0, 1] for one sequence (free, constant, or a two-value
+    alternation with many tied pairs), a Cauchy window (None for the
+    default) and a tolerance that both verdicts clear."""
+    n = draw(st.integers(1, 40))
+    unit = st.floats(0.0, 1.0)
+    shape = draw(st.sampled_from(["free", "constant", "alternating"]))
+    if shape == "free":
+        units = draw(st.lists(unit, min_size=n, max_size=n))
+    else:
+        a, b = draw(unit), draw(unit)
+        units = [a if shape == "constant" or k % 2 == 0 else b for k in range(n)]
+    return units, draw(st.none() | st.integers(1, n)), draw(st.sampled_from([0.0, 0.5]))
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the fallback must raise what the pair loop raises
+        return type(exc), str(exc)
+
+
+class TestChartPath:
+    @pytest.mark.parametrize("name", sorted(ONE_COORDINATE))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=unit_sequences())
+    @example(case=([0.3], None, 0.0))
+    @example(case=([0.3, 0.8], None, 0.0))
+    @example(case=([0.3, 0.8], 1, 0.0))
+    @example(case=([0.2, 0.9] * 10, 7, 0.0))
+    def test_matches_the_pair_loops(self, name, case):
+        space, point = ONE_COORDINATE[name]
+        units, window, tol = case
+        seq = [point(u) for u in units]
+        report = bounded_diagnostic(seq, space)
+        reference = bounded_diagnostic(seq, without_chart(space))
+        assert report == reference
+        assert report.M.hex() == reference.M.hex()
+        assert (cauchy_diagnostic(seq, space, tol, window)
+                == cauchy_diagnostic(seq, without_chart(space), tol, window))
+
+    @pytest.mark.parametrize("space, seq", [
+        (POS, [2.0, 0.0, 3.0]),
+        (POS, [2.0, math.inf, 3.0, math.inf, 3.0]),
+        (spaces.positive_interval(0.5, 4.0), [1.0, 5.0, 2.0]),
+    ], ids=["zero", "inf-twice", "outside-interval"])
+    def test_bad_terms_fall_back_to_the_pair_loops(self, space, seq):
+        for diagnostic, args in ((bounded_diagnostic, ()), (cauchy_diagnostic, (0.1,))):
+            got = outcome(diagnostic, seq, space, *args)
+            assert isinstance(got, tuple), "the chart path returned instead of raising"
+            assert got == outcome(diagnostic, seq, without_chart(space), *args)
+
+    def test_costs_one_scalar_row(self):
+        # bounded_diagnostic's row to the centre (for M), cauchy_diagnostic's
+        # witness row: the first row of the window, seven pairs
+        calls = []
+
+        def dist(a, b):
+            calls.append(1)
+            return POS.dist(a, b)
+
+        counting = dataclasses.replace(POS, dist=dist)
+        seq = [(0.2, 5.0)[k % 2] for k in range(30)]
+        bounded_diagnostic(seq, counting)
+        assert len(calls) == len(seq)
+        calls.clear()
+        cauchy_diagnostic(seq, counting, 0.1, window=8)
+        assert len(calls) == 7
 
 
 class TestSupInfCharacterization:
