@@ -17,6 +17,12 @@ this working tree:
   count, so that the same probe runs on any revision with this CLI;
 - `sequence_analysis`: `bounded_diagnostic_us` and `cauchy_diagnostic_us`, one
   call each on a pos-reals sequence of n = 50, 200 and 800 terms;
+- `cli`: `examples_us`, one in-process `cli.main(["examples"])` call (argument
+  parsing and the registry listing); `write_us_per_step` and
+  `write_us_per_witness`, `cli._write_json` to os.devnull on a seeded solve
+  trace and a seeded `verify --expr-dist` report divided by their steps and
+  witnesses, and `dumps_us_per_step` / `dumps_us_per_witness`, json.dumps
+  with indent=2 on the same payloads;
 - `calibration`: the median of 21 runs of perfbench's calibration kernel
   (`calib.time_kernel`) in the same probe, in milliseconds: a layer figure
   divided by its side's `kernel_ms` reads speed-normalised;
@@ -97,7 +103,7 @@ def cli_run(argv):
             raise SystemExit(f"{argv} failed")
 
 space_table, problem_ids, n_pairs = json.loads(sys.argv[1])
-out = {"spaces": {}, "problems": {}, "sequence_analysis": {},
+out = {"spaces": {}, "problems": {}, "sequence_analysis": {}, "cli": {},
        "calibration": {"kernel": {"kernel_ms": statistics.median(
            calib.time_kernel() for _ in range(21)) * 1e3}}}
 for name, (space_id, kw, n) in space_table.items():
@@ -127,6 +133,21 @@ for n in (50, 200, 800):
             lambda: sequence_analysis.bounded_diagnostic(seq, pos)),
         "cauchy_diagnostic_us": adaptive_us(
             lambda: sequence_analysis.cauchy_diagnostic(seq, pos, 1e-3))}
+captured = []
+write_json, cli._write_json = cli._write_json, lambda payload, _out: captured.append(payload)
+for name, unit, key, argv in [
+        ("trace", "step", "steps",
+         ["solve", "--expr", "2*x^0.95", "--lambda", "0.95", "--x0", "30"]),
+        ("report", "witness", "witnesses",
+         ["verify", "--expr-dist", "e^((x-y)^2)", "--samples", "1000", "--seed", "1"])]:
+    cli.main(argv)
+    payload = captured.pop()
+    count = len(payload[key])
+    out["cli"][name] = {
+        f"write_us_per_{unit}": best_s(lambda: write_json(payload, os.devnull)) / count * 1e6,
+        f"dumps_us_per_{unit}": best_s(lambda: json.dumps(payload, indent=2)) / count * 1e6}
+cli._write_json = write_json
+out["cli"]["examples"] = {"examples_us": adaptive_us(lambda: cli_run(["examples"]))}
 print(json.dumps(out))
 """
 

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import operator
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import fixed_point as fp
 from . import registry as reg
@@ -65,8 +67,71 @@ def report_to_dict(report) -> dict:
     return out
 
 
+#: a report witness at its depth (indent 4): key, axiom, points, values
+_WITNESS = ('{\n      %s: %s,\n      "points": [\n        %s\n      ],\n'
+            '      "values": [\n        %s\n      ]\n    }')
+
+
+def _witness(w, indent: str) -> str | None:
+    """`_text(w, indent)` in one format string for a report witness with
+    non-empty lists of finite floats as points and values, the bulk of a
+    refuted report; None for any other item."""
+    if indent != "    " or type(w) is not dict or len(w) != 3:
+        return None
+    (key, axiom), (p, points), (q, values) = w.items()
+    sep = ",\n        "
+    try:
+        xs, ys = sep.join(map(float.__repr__, points)), sep.join(map(float.__repr__, values))
+    except TypeError:  # not lists of floats
+        return None
+    if (p, q) != ("points", "values") or type(axiom) is not str or not (xs and ys) \
+            or "n" in xs or "n" in ys:
+        return None
+    return _WITNESS % (_escape(key), _escape(axiom), xs, ys)
+
+
+def _text(v, indent: str = "") -> str:
+    """`json.dumps(v, indent=2)` byte for byte, for JSON values with string keys.
+
+    The indent makes json.dumps use its pure-Python encoder; here a list of
+    plain floats is one C-level join of `float.__repr__`, strings and keys go
+    through json's own C escaper, a report witness of scalar points is one
+    format string, and NaN, infinities, bools, None and float subclasses are
+    left to json.dumps itself.
+    """
+    t = type(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(float.__repr__, v))
+        except TypeError:  # not all floats
+            body = "n"
+        if "n" in body:
+            body = sep.join([_witness(x, inner) or _text(x, inner) for x in v])
+        return f"[\n{inner}{body}\n{indent}]"
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([f"{_escape(k)}: {_text(x, inner)}" for k, x in v.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if t is str:
+        return _escape(v)
+    if t is float:
+        text = float.__repr__(v)
+        return json.dumps(v) if "n" in text else text
+    if t is int:
+        return int.__repr__(v)
+    if isinstance(v, (list, tuple, dict)):  # a subclass
+        return _text(dict(v) if isinstance(v, dict) else list(v), indent)
+    return json.dumps(v)
+
+
 def _write_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2)
+    text = _text(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -171,7 +236,9 @@ def cmd_examples(_args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mulmetric",
         description="Multiplicative metric spaces: solvers, verification, diagnostics")

@@ -106,11 +106,22 @@ def apriori_bound(d10_log: float, rate: float, n: int) -> float:
     return (rate**n / (1.0 - rate)) * d10_log
 
 
+def _check_step(n: int, step_log: float, prev_step_log: float, rate: float):
+    """Raise when step n breaks the geometric decay the declared rate implies."""
+    if step_log > prev_step_log * rate + STEP_CHAIN_SLACK:
+        raise InvariantBreachError(
+            f"step {n}: ln d(x_n+1, x_n) = {step_log:.6e} exceeds "
+            f"rate * previous = {prev_step_log * rate:.6e}; the supplied "
+            f"contraction constant appears too small")
+
+
 def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
             ball_center=None, ball_log_radius: float | None = None) -> SolverReport:
     """Shared Picard driver with geometric stopping and ratio monitoring."""
     if not (tol_log > 0):
         raise InputError(f"tol_log must be positive, got {tol_log}")
+    if max_iter < 0:
+        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
     space = map_.space
     trace: list[TraceStep] = []
 
@@ -126,11 +137,8 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
     prev_step_log = None
     for n in range(max_iter):
         step_log = space.dist(fx, x).log_value
-        if prev_step_log is not None and step_log > prev_step_log * rate + STEP_CHAIN_SLACK:
-            raise InvariantBreachError(
-                f"step {n}: ln d(x_n+1, x_n) = {step_log:.6e} exceeds "
-                f"rate * previous = {prev_step_log * rate:.6e}; the supplied "
-                f"contraction constant appears too small")
+        if prev_step_log is not None:
+            _check_step(n, step_log, prev_step_log, rate)
         apr = apriori_bound(d10_log, rate, n)
         apo = (rate / (1.0 - rate)) * step_log
         trace.append(TraceStep(n, x, step_log, apr, apo))
@@ -146,6 +154,8 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
         # bounds on ln d(x_{n+1}, z): fresh a-priori and the a-posteriori above
         if min(apriori_bound(d10_log, rate, n + 1), apo) <= tol_log:
             residual_log = space.dist(fx, x).log_value
+            # the bounds trust the rate, so the step they stop on must obey it too
+            _check_step(n + 1, residual_log, step_log, rate)
             trace.append(TraceStep(n + 1, x, residual_log,
                                    apriori_bound(d10_log, rate, n + 1),
                                    (rate / (1.0 - rate)) * residual_log))

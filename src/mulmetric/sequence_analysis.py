@@ -101,6 +101,8 @@ def cauchy_diagnostic(seq: Sequence, space: SpaceInstance, tol_log: float,
     """Are all pairwise distances within the final window below tol_log?"""
     if len(seq) == 0:
         raise InputError("empty sequence")
+    if not (tol_log >= 0):  # zero asks for a constant window
+        raise InputError(f"tol_log must be nonnegative, got {tol_log}")
     if window is None:
         window = len(seq) - tail_start(len(seq))
     if window < 1:

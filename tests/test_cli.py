@@ -1,11 +1,18 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mulmetric
 from mulmetric import cli, spaces
-from mulmetric.metric_core import ComplexVec, SampledPosFunction
+from mulmetric.metric_core import ComplexVec, PosVec, RealVec, SampledPosFunction, SegmentPoint
 from mulmetric import registry
 from mulmetric.expressions import compile_expr
 from mulmetric.registry import (
@@ -111,11 +118,14 @@ class TestUsageErrors:
         ["verify", "--space", "pos-reals", "--complex"],
         ["verify", "--problem", "sqrt-toy", "--complex"],
         ["verify", "--expr-dist", "abs(x-y)+1", "--complex"],
+        ["solve", "--problem", "sqrt-toy", "--max-iter", "-1"],
+        ["solve", "--problem", "sqrt-toy", "--lambda", "0"],
+        ["solve", "--expr", "x/2+1", "--space", "real-line-exp", "--lambda", "0", "--x0", "0"],
     ], ids=["overflow", "zero-division", "log-domain", "vector-point", "bad-file-value",
             "complex-distance", "power-overflow", "distance-overflow", "complex-iterate",
             "complex-estimate", "outside-interval", "function-start", "pair-start-size",
             "vector-map-d-a", "complex-map", "complex-pos-reals", "complex-problem",
-            "complex-expr-dist"])
+            "complex-expr-dist", "negative-max-iter", "zero-lambda", "zero-lambda-expr"])
     def test_exit_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / BAD_FILE).write_text("space_id = pos-reals\nmap_id = sqrt-toy\n"
@@ -235,6 +245,151 @@ def test_encode_point_covers_every_point_type():
     assert registry.encode_point((2.0, (3.0, 4.0))) == [[2.0], [[3.0], [4.0]]]
     f = SampledPosFunction((0.0, 1.0), (2.0, 3.0))
     assert json.loads(json.dumps(registry.encode_point(f))) == [2.0, 3.0]
+
+
+def dumps2(value) -> str:
+    """The writer's oracle."""
+    return json.dumps(value, indent=2)
+
+
+POINTS = {
+    "scalar": 2.5,
+    "pos-vec": PosVec((1.0, 3.5)),
+    "real-vec": RealVec((-1.0, 0.0)),
+    "complex": ComplexVec((1 + 2j, -3.0)),
+    "segment": SegmentPoint(1.5, 1.0),
+    "product-pair": (2.0, (3.0, 4.0)),
+    "function": SampledPosFunction((0.0, 0.5, 1.0), (2.0, 3.0, 1e-3)),
+}
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+               | st.floats().map(np.float64))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.lists(st.floats(), max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+# witness-shaped items, which the writer formats through one template at a report's depth
+WITNESS_LISTS = st.lists(st.fixed_dictionaries({
+    "axiom": st.sampled_from(["m1", "m3", "reverse"]) | JSON_LEAVES,
+    "points": st.lists(st.floats(), max_size=3) | JSON_VALUES,
+    "values": st.lists(st.floats(), max_size=3)}), max_size=4)
+REPORTS = st.fixed_dictionaries({"m1_ok": st.booleans(), "witnesses": WITNESS_LISTS,
+                                 "slack_log": st.floats()})
+
+
+class ListSubclass(list):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
+class StrSubclass(str):
+    pass
+
+
+class TestWriter:
+    """cli._text is json.dumps(v, indent=2) byte for byte."""
+
+    @pytest.mark.parametrize("point", POINTS.values(), ids=POINTS)
+    def test_every_point_type(self, point):
+        encoded = registry.encode_point(point)
+        witness = {"axiom": "m3", "points": [cli._encode_value(point)] * 3,
+                   "values": [0.25, 0.5]}
+        for value in (encoded, {"steps": [{"n": 0, "point": encoded}]}, [witness]):
+            assert cli._text(value) == dumps2(value)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, [1.0, math.nan], [math.inf, 2.0], [[-math.inf]],
+        -0.0, 5e-324, 1e16, [-0.0, 5e-324, 1e16, -1e-7],
+        0, -7, 2**70, True, False, None, [True, 1.0], [1, 2.0], [None, 0.5], [2.0, "a"],
+        [], {}, {"steps": [], "footer": {}}, {"witnesses": []}, [[], {}],
+        (1.0, 2.0), ((1.0,), [2, "a"]),
+        np.float64(0.1), [np.float64(0.1), 2.0], [np.float64("nan")],
+        "h\u00e9llo \u2713 \"q\"\n\t", {"cl\u00e9": "\U0001f600"},
+        ListSubclass([1.0, ListSubclass()]), DictSubclass(a=DictSubclass(), b=[2.0]),
+        StrSubclass("s"), {StrSubclass("k"): StrSubclass("v")},
+    ])
+    def test_leaves_and_edge_cases(self, value):
+        assert cli._text(value) == dumps2(value)
+
+    @pytest.mark.parametrize("witness", [
+        {"axiom": "m3", "points": [1.0, -2.5, 3e-9], "values": [0.5, 0.25]},
+        {"kind": "banach", "points": [[1.0], [2.0]], "values": [0.5]},
+        {"axiom": "m1", "points": [1.0, 2.0], "values": [-math.inf]},
+        {"axiom": "m1", "points": [math.nan, 2.0], "values": [0.0]},
+        {"axiom": "m1", "points": [], "values": [0.0]},
+        {"axiom": "m1", "points": [1.0], "values": []},
+        {"axiom": 3, "points": [1.0], "values": [2.0]},
+        {"axiom": "m2", "points": (1.0, np.float64(2.0)), "values": [1, 2.0]},
+        {"axiom": "m2", "points": "ab", "values": [2.0]},
+        {"axiom": "m2", "points": {"x": 1.0}, "values": [2.0]},
+        {"axiom": "m2", "values": [2.0], "points": [1.0]},
+        {"axiom": "m2", "points": [1.0], "values": [2.0], "extra": None},
+        DictSubclass(axiom="m3", points=[1.0], values=[2.0]),
+    ])
+    def test_witness_shapes(self, witness):
+        for value in ({"witnesses": [witness, witness]}, [[witness]], [witness], witness):
+            assert cli._text(value) == dumps2(value)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(value=JSON_VALUES | REPORTS)
+    def test_recursive_values(self, value):
+        assert cli._text(value) == dumps2(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "paper-scalar"],
+        ["solve", "--problem", "paper-segment"],
+        ["solve", "--problem", "quarter-kannan", "--seed", "3"],
+        ["solve", "--expr", "x", "--space", "product-pos", "--x0", "1,2"],
+        ["solve", "--expr", "sqrt(x)", "--lambda", "0.5", "--x0", "1e12", "--max-iter", "3"],
+        ["verify", "--space", "d-a", "--dim", "2", "--complex", "--samples", "200"],
+        ["verify", "--space", "segment", "--samples", "300", "--seed", "7"],
+        ["verify", "--expr-dist", "e^((x-y)^2)", "--samples", "300", "--seed", "1"],
+        ["verify", "--expr-dist", "0", "--samples", "30", "--seed", "2"],
+        ["verify", "--problem", "sqrt-toy", "--lambda", "0.4", "--samples", "200"],
+        ["verify", "--expr", "x", "--space", "func-sup", "--samples", "3"],
+        ["verify", "--expr", "x", "--space", "product-pos", "--samples", "5"],
+    ])
+    def test_seeded_outputs_match_the_oracle(self, argv, tmp_path, monkeypatch):
+        payloads = []
+        write = cli._write_json
+        monkeypatch.setattr(cli, "_write_json",
+                            lambda payload, out: (payloads.append(payload), write(payload, out)))
+        out = tmp_path / "out.json"
+        assert run([*argv, "--out", str(out)]) in (0, 3, 4)
+        assert out.read_text() == dumps2(payloads[0]) + "\n"
+
+
+def fresh_process(argv, cwd) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mulmetric.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "mulmetric.cli", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """build_parser is cached; in-process calls must still behave like fresh processes."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_leak_no_state(self, tmp_path, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--samples", "many"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        built = []
+        build = spaces.build
+        monkeypatch.setattr(spaces, "build", lambda *a, **kw: (built.append(kw), build(*a, **kw))[1])
+        argv = ["verify", "--space", "d-a", "--dim", "2", "--samples", "50", "--seed", "4"]
+        for extra in (["--complex"], []):
+            assert run(argv + extra) == 0
+            assert (0, capsys.readouterr().out, "") == fresh_process(argv + extra, tmp_path)
+        assert [kw["complex_coords"] for kw in built] == [True, False]
 
 
 class TestEstimate:

@@ -143,6 +143,19 @@ class TestBanachSolve:
         with pytest.raises(InvariantBreachError):
             banach_solve(square, 2.0, BANACH_HALF, max_iter=100)
 
+    @pytest.mark.parametrize("map_, x0", [
+        (SQRT, 16.0),
+        (SelfMap("half-plus-one", lambda x: x / 2 + 1, spaces.real_line_exp()), 0.0),
+    ], ids=["sqrt-toy", "half-plus-one"])
+    def test_zero_lambda_breaches_instead_of_converging(self, map_, x0):
+        # rate 0 zeroes both bounds after one step; the unchecked residual was returned
+        with pytest.raises(InvariantBreachError, match="^step 1: "):
+            banach_solve(map_, x0, ContractionSpec("banach", 0.0))
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(InputError, match="max_iter"):
+            banach_solve(SQRT, 16.0, BANACH_HALF, max_iter=-1)
+
     def test_max_iter_exhaustion(self):
         slow = SelfMap("slow", lambda x: x**0.999, POS)
         report = banach_solve(slow, 100.0, ContractionSpec("banach", 0.999),

@@ -78,6 +78,12 @@ class TestCauchyDiagnostic:
         with pytest.raises(InputError):
             cauchy_diagnostic([1.0, 2.0], POS, tol_log=1e-3, window=5)
 
+    @pytest.mark.parametrize("seq", [[1.0], [1.0, 2.0, 3.0]])
+    @pytest.mark.parametrize("tol", [-2.0, -0.5, math.nan])
+    def test_bad_tolerance_rejected(self, seq, tol):
+        with pytest.raises(InputError, match="tol_log"):
+            cauchy_diagnostic(seq, POS, tol)
+
 
 class TestBoundedDiagnostic:
     def test_constant_sequence(self):
