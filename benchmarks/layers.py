@@ -15,6 +15,9 @@ this working tree:
   contraction check per sampled pair) and `estimate_us_per_pair` of
   `estimate --problem`, each a whole `cli.main` call divided by its sample
   count, so that the same probe runs on any revision with this CLI;
+- `fixed_point`: per registry problem, `solve_us_per_step`, one `fixed_point.solve`
+  call from the problem's start (what `solve --problem` runs, without parsing
+  or JSON) divided by the Picard steps in its trace;
 - `sequence_analysis`: `bounded_diagnostic_us` and `cauchy_diagnostic_us`, one
   call each on a pos-reals sequence of n = 50, 200 and 800 terms;
 - `cli`: `examples_us`, one in-process `cli.main(["examples"])` call (argument
@@ -70,7 +73,7 @@ PROBLEM_SAMPLES = 2000
 # per-problem timings
 PROBE = r"""
 import contextlib, io, json, math, os, random, statistics, sys, time
-from mulmetric import cli, sequence_analysis, spaces
+from mulmetric import cli, fixed_point, registry, sequence_analysis, spaces
 from mulmetric.verifier import verify_axioms
 from perfbench import calib
 
@@ -103,7 +106,7 @@ def cli_run(argv):
             raise SystemExit(f"{argv} failed")
 
 space_table, problem_ids, n_pairs = json.loads(sys.argv[1])
-out = {"spaces": {}, "problems": {}, "sequence_analysis": {}, "cli": {},
+out = {"spaces": {}, "problems": {}, "fixed_point": {}, "sequence_analysis": {}, "cli": {},
        "calibration": {"kernel": {"kernel_ms": statistics.median(
            calib.time_kernel() for _ in range(21)) * 1e3}}}
 for name, (space_id, kw, n) in space_table.items():
@@ -124,6 +127,14 @@ for pid in problem_ids:
     estimate_s = best_s(lambda: cli_run(["estimate", *common, "--pairs", str(n_pairs)]))
     out["problems"][pid] = {"verify_us_per_sample": verify_s / n_pairs * 1e6,
                             "estimate_us_per_pair": estimate_s / n_pairs * 1e6}
+for pid in problem_ids:
+    pd = registry.REGISTRY[pid].problem
+    map_ = registry.build_selfmap(pd, registry.build_space(pd))
+    args = (map_, registry.decode_point(pd, pd.x0), fixed_point.ContractionSpec(pd.kind, pd.lam),
+            pd.tol_log, pd.max_iter)
+    steps = len(fixed_point.solve(*args).trace)
+    out["fixed_point"][pid] = {
+        "solve_us_per_step": adaptive_us(lambda: fixed_point.solve(*args)) / steps}
 pos, seq_rng = spaces.positive_reals(), random.Random(3)
 for n in (50, 200, 800):
     # a converging sequence; its bounded_diagnostic centre is near index 15

@@ -124,46 +124,31 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
         raise InputError(f"max_iter must be nonnegative, got {max_iter}")
     space = map_.space
     trace: list[TraceStep] = []
-
-    x = x0
-    fx = map_(x)
-    d10_log = space.dist(fx, x).log_value
-    if d10_log <= tol_log:
-        # degenerate start: x0 already (numerically) fixed
-        trace.append(TraceStep(0, x, d10_log, apriori_bound(d10_log, rate, 0),
-                               (rate / (1.0 - rate)) * d10_log))
-        return SolverReport(x, d10_log, 0, True, trace)
-
-    prev_step_log = None
-    for n in range(max_iter):
+    x, fx = x0, map_(x0)
+    for n in range(max_iter + 1):
         step_log = space.dist(fx, x).log_value
-        if prev_step_log is not None:
-            _check_step(n, step_log, prev_step_log, rate)
+        if n == 0:
+            d10_log = apo = step_log
+        # bounds on ln d(x_n, z): a-priori from the first step, a-posteriori from the
+        # previous one; at n = 0 their minimum is d10_log itself
         apr = apriori_bound(d10_log, rate, n)
+        converged = min(apr, apo) <= tol_log
+        if n == max_iter and not converged:
+            return SolverReport(x, step_log, n, False, trace)
+        if n:
+            # the bounds trust the rate, so every step must obey it
+            _check_step(n, step_log, prev_step_log, rate)
         apo = (rate / (1.0 - rate)) * step_log
         trace.append(TraceStep(n, x, step_log, apr, apo))
-
+        if converged:
+            return SolverReport(x, step_log, n, True, trace)
         if ball_log_radius is not None:
             drift = space.dist(fx, ball_center).log_value
             if drift > ball_log_radius + STEP_CHAIN_SLACK:
                 raise InvariantBreachError(
                     f"iterate {n + 1} left the closed ball: ln d(x, x0) = "
                     f"{drift:.6e} > ln eps = {ball_log_radius:.6e}")
-
-        x, fx = fx, map_(fx)
-        # bounds on ln d(x_{n+1}, z): fresh a-priori and the a-posteriori above
-        if min(apriori_bound(d10_log, rate, n + 1), apo) <= tol_log:
-            residual_log = space.dist(fx, x).log_value
-            # the bounds trust the rate, so the step they stop on must obey it too
-            _check_step(n + 1, residual_log, step_log, rate)
-            trace.append(TraceStep(n + 1, x, residual_log,
-                                   apriori_bound(d10_log, rate, n + 1),
-                                   (rate / (1.0 - rate)) * residual_log))
-            return SolverReport(x, residual_log, n + 1, True, trace)
-        prev_step_log = step_log
-
-    residual_log = space.dist(map_(x), x).log_value
-    return SolverReport(x, residual_log, max_iter, False, trace)
+        x, fx, prev_step_log = fx, map_(fx), step_log
 
 
 def _require_kind(spec: ContractionSpec, kind: str, solver: str):

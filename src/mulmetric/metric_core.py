@@ -244,8 +244,8 @@ SUP_CHART = Chart(lambda f: f._log_values, norm="linf")
 
 def exp_chart(base: float) -> Chart:
     """d_a = a^(sum |x_i - y_i|) on R^n or C^n (moduli): L1, scaled by ln a."""
-    if not (base > 1):
-        raise DomainError(f"base must exceed 1, got {base}")
+    if not (1 < base < math.inf):
+        raise DomainError(f"base must be finite and exceed 1, got {base}")
     return Chart(_coords, factor=math.log(base))
 
 

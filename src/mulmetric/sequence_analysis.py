@@ -53,22 +53,26 @@ def tail_start(n: int) -> int:
     return max(0, n - window)
 
 
-def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0):
-    """max over j > k of rho(x_k, x_j) for k = start .. n-2, bit-equal to the pair
-    loop, by one backward scan of a one-coordinate chart (float subtraction and
-    the scale are monotone, so a row's largest gap is to the largest or smallest
-    later coordinate).  None without such a chart or with a coordinate that is
-    not a finite number: the pair loop then runs, and raises, as before."""
-    chart = space.chart
-    if chart is None or not chart.scalar:
-        return None
-    phi = chart.phi or (lambda x: x)
-    try:
-        c = [phi(seq[k]) for k in range(start, len(seq))]
-        if not all(map(math.isfinite, c)):
-            return None
-    except (DomainError, ArithmeticError, ValueError, TypeError):
-        return None
+def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0) -> list:
+    """max over j > k of rho(x_k, x_j) for k = start .. n-2.  On a one-coordinate
+    chart whose coordinates are finite numbers this is one backward scan (float
+    subtraction and the scale are monotone, so a row's largest gap is to the
+    largest or smallest later coordinate, bit-equal to evaluating the row);
+    elsewhere every row is evaluated in full, in order, so a failing distance
+    raises at the same pair as a pair loop."""
+    n, chart, c = len(seq), space.chart, None
+    if chart is not None and chart.scalar:
+        phi = chart.phi or (lambda x: x)
+        try:
+            coords = [phi(seq[k]) for k in range(start, n)]
+            if all(map(math.isfinite, coords)):
+                c = coords
+        except (DomainError, ArithmeticError, ValueError, TypeError):
+            pass
+    if c is None:
+        dist = space.dist
+        return [max([dist(seq[k], seq[j]).log_value for j in range(k + 1, n)])
+                for k in range(start, n - 1)]
     unit, hi, lo, maxima = chart.factor == chart.divisor == 1.0, c[-1], c[-1], []
     for x in reversed(c[:-1]):
         r = max(abs(x - hi), abs(x - lo))
@@ -110,13 +114,11 @@ def cauchy_diagnostic(seq: Sequence, space: SpaceInstance, tol_log: float,
     if window > len(seq):
         raise InputError(f"window {window} exceeds sequence length {len(seq)}")
     start = len(seq) - window
-    worst, worst_pair = -1.0, None
-    rows = range(start, len(seq))
     maxima = _row_maxima(seq, space, start)
+    worst, worst_pair = 0.0, None
     if maxima:
-        # the loop's witness is the first pair at the largest value, in its first row
-        rows = [start + maxima.index(max(maxima))]
-    for i in rows:
+        # the witness is the first pair at the largest value, in the first row holding it
+        i = start + maxima.index(max(maxima))
         for j in range(i + 1, len(seq)):
             rho = space.dist(seq[i], seq[j]).log_value
             if rho > worst:
@@ -142,12 +144,7 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
     if len(seq) == 0:
         raise InputError("empty sequence")
     ln2 = math.log(2.0)
-    n, n0 = len(seq), 0
-    maxima = _row_maxima(seq, space)
-    for k in range(n - 1):
-        if not (maxima[k] < ln2 if maxima else
-                all([space.dist(seq[k], seq[j]).log_value < ln2 for j in range(k + 1, n)])):
-            n0 = k + 1
+    n0 = max([k + 1 for k, m in enumerate(_row_maxima(seq, space)) if not m < ln2], default=0)
     row = [space.dist(x, seq[n0]).log_value for x in seq]
     m_log = max([ln2] + row[:n0])
     assert all(r <= m_log + 1e-12 for r in row)

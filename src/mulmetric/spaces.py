@@ -73,8 +73,8 @@ class SelfMap:
 def _log_uniform(lo: float, hi: float) -> tuple[float, float]:
     """(a, w) such that exp(a + w * rng.random()) is log-uniform on [lo, hi],
     which exercises both branches of |.|* evenly around 1."""
-    if not (0 < lo < hi):
-        raise DomainError("need 0 < lo < hi for the sampler range")
+    if not (0 < lo < hi < math.inf):
+        raise DomainError("need finite 0 < lo < hi for the sampler range")
     a = math.log(lo)
     return a, math.log(hi) - a
 

@@ -121,11 +121,14 @@ class TestUsageErrors:
         ["solve", "--problem", "sqrt-toy", "--max-iter", "-1"],
         ["solve", "--problem", "sqrt-toy", "--lambda", "0"],
         ["solve", "--expr", "x/2+1", "--space", "real-line-exp", "--lambda", "0", "--x0", "0"],
+        ["verify", "--space", "d-a", "--base", "inf"],
+        ["verify", "--space", "pos-interval", "--lo", "1", "--hi", "inf"],
     ], ids=["overflow", "zero-division", "log-domain", "vector-point", "bad-file-value",
             "complex-distance", "power-overflow", "distance-overflow", "complex-iterate",
             "complex-estimate", "outside-interval", "function-start", "pair-start-size",
             "vector-map-d-a", "complex-map", "complex-pos-reals", "complex-problem",
-            "complex-expr-dist", "negative-max-iter", "zero-lambda", "zero-lambda-expr"])
+            "complex-expr-dist", "negative-max-iter", "zero-lambda", "zero-lambda-expr",
+            "infinite-base", "infinite-interval"])
     def test_exit_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / BAD_FILE).write_text("space_id = pos-reals\nmap_id = sqrt-toy\n"

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mulmetric import spaces
 from mulmetric.errors import (
@@ -10,8 +12,13 @@ from mulmetric.errors import (
     InvariantBreachError,
     PreconditionError,
 )
+from mulmetric import fixed_point
 from mulmetric.fixed_point import (
+    STEP_CHAIN_SLACK,
     ContractionSpec,
+    SolverReport,
+    TraceStep,
+    _check_step,
     apriori_bound,
     ball_solve,
     banach_solve,
@@ -176,6 +183,116 @@ class TestBanachSolve:
         conj = banach_solve(scaled, s * 16.0, BANACH_HALF, tol_log=1e-10)
         for a, b in zip(base.trace, conj.trace):
             assert abs(a.step_log - b.step_log) <= 1e-12
+
+
+def former_picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
+                  ball_center=None, ball_log_radius: float | None = None) -> SolverReport:
+    """The Picard driver before its loop got one stop site, kept verbatim as the oracle."""
+    if not (tol_log > 0):
+        raise InputError(f"tol_log must be positive, got {tol_log}")
+    if max_iter < 0:
+        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
+    space = map_.space
+    trace: list[TraceStep] = []
+
+    x = x0
+    fx = map_(x)
+    d10_log = space.dist(fx, x).log_value
+    if d10_log <= tol_log:
+        # degenerate start: x0 already (numerically) fixed
+        trace.append(TraceStep(0, x, d10_log, apriori_bound(d10_log, rate, 0),
+                               (rate / (1.0 - rate)) * d10_log))
+        return SolverReport(x, d10_log, 0, True, trace)
+
+    prev_step_log = None
+    for n in range(max_iter):
+        step_log = space.dist(fx, x).log_value
+        if prev_step_log is not None:
+            _check_step(n, step_log, prev_step_log, rate)
+        apr = apriori_bound(d10_log, rate, n)
+        apo = (rate / (1.0 - rate)) * step_log
+        trace.append(TraceStep(n, x, step_log, apr, apo))
+
+        if ball_log_radius is not None:
+            drift = space.dist(fx, ball_center).log_value
+            if drift > ball_log_radius + STEP_CHAIN_SLACK:
+                raise InvariantBreachError(
+                    f"iterate {n + 1} left the closed ball: ln d(x, x0) = "
+                    f"{drift:.6e} > ln eps = {ball_log_radius:.6e}")
+
+        x, fx = fx, map_(fx)
+        # bounds on ln d(x_{n+1}, z): fresh a-priori and the a-posteriori above
+        if min(apriori_bound(d10_log, rate, n + 1), apo) <= tol_log:
+            residual_log = space.dist(fx, x).log_value
+            # the bounds trust the rate, so the step they stop on must obey it too
+            _check_step(n + 1, residual_log, step_log, rate)
+            trace.append(TraceStep(n + 1, x, residual_log,
+                                   apriori_bound(d10_log, rate, n + 1),
+                                   (rate / (1.0 - rate)) * residual_log))
+            return SolverReport(x, residual_log, n + 1, True, trace)
+        prev_step_log = step_log
+
+    residual_log = space.dist(map_(x), x).log_value
+    return SolverReport(x, residual_log, max_iter, False, trace)
+
+
+LINE = spaces.real_line_exp()
+
+
+def picard_map(family, q, shift):
+    """x -> q*x + shift on (R, d_e), or x -> shift * x^q on (R_+, |.|*); rate q either way."""
+    if family == "affine":
+        return SelfMap("affine", lambda x: q * x + shift, LINE)
+    return SelfMap("power", lambda x: shift * x**q, POS)
+
+
+@st.composite
+def picard_cases(draw):
+    """(family, q, shift, x0, declared rate, tol_log, max_iter, ball log radius or None).
+
+    Starts include the fixed point itself and, for q = 0 or shift = 1, points
+    the map fixes exactly; declared rates below q make the step chain breach."""
+    family = draw(st.sampled_from(["affine", "power"]))
+    q = draw(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.95))
+    if family == "affine":
+        shift = draw(st.sampled_from([0.0, 1.0]) | st.floats(-3.0, 3.0))
+        x0 = draw(st.sampled_from([shift / (1.0 - q), shift]) | st.floats(-20.0, 20.0))
+    else:
+        shift = draw(st.sampled_from([1.0]) | st.floats(0.5, 2.0))
+        x0 = draw(st.sampled_from([shift ** (1.0 / (1.0 - q)), 1.0])
+                  | st.floats(1e-3, 1e3))
+    rate = draw(st.sampled_from([0.0, q, q / 2, min(1.5 * q, 0.99)]) | st.floats(0.0, 0.99))
+    tol = draw(st.sampled_from([1e-12, 1e-6, 1e-2, 0.5]))
+    max_iter = draw(st.integers(0, 6) | st.just(500))
+    radius = draw(st.none() | st.floats(0.01, 10.0))
+    return family, q, shift, x0, rate, tol, max_iter, radius
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPicardOracle:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(case=picard_cases())
+    @example(case=("affine", 0.0, 2.0, 2.0, 0.0, 1e-12, 0, None))      # fixed start, no budget
+    @example(case=("affine", 0.0, 2.0, 5.0, 0.0, 1e-12, 3, None))      # lambda = 0, one step
+    @example(case=("affine", 0.5, 1.0, 0.0, 0.0, 1e-12, 10, None))     # lambda = 0 breach
+    @example(case=("power", 0.5, 1.0, 16.0, 0.5, 1e-12, 0, None))      # no budget
+    @example(case=("power", 0.5, 1.0, 16.0, 0.5, 1e-14, 3, None))      # budget runs out
+    @example(case=("power", 0.5, 1.0, 1.0, 0.5, 1e-12, 3, None))       # exact fixed point
+    @example(case=("power", 0.9, 1.3, 40.0, 0.5, 1e-12, 500, None))    # rate too small
+    @example(case=("power", 0.5, 1.0, 4.0, 0.5, 1e-12, 500, math.log(4.0)))  # ball boundary
+    @example(case=("power", 0.5, 1.0, 4.0, 0.5, 1e-12, 500, 0.5))      # leaves the ball
+    def test_matches_the_former_driver(self, case):
+        family, q, shift, x0, rate, tol, max_iter, radius = case
+        map_ = picard_map(family, q, shift)
+        ball = {} if radius is None else {"ball_center": x0, "ball_log_radius": radius}
+        assert (outcome(fixed_point._picard, map_, x0, rate, tol, max_iter, **ball)
+                == outcome(former_picard, map_, x0, rate, tol, max_iter, **ball))
 
 
 class TestBallSolve:

@@ -1,0 +1,65 @@
+"""Seeded CLI outputs stay byte-identical.
+
+Each entry is a command and the digest of its exit code, its `--out` bytes,
+its stdout and its stderr (sha256 of the four sha256 digests, in that
+order).  A change that alters any of them must update the digest here and
+say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from mulmetric import cli
+
+GOLDEN = [
+    ("solve --problem paper-scalar",
+     "368e40011c5fc2c325069fcb7247dca0e51059c232da514f81faa7f90e7038b3"),
+    ("solve --problem paper-segment",
+     "01449c429e006185ae9e83d5ceb6d039ce150751eb43ed2e3129879500dfd8b9"),
+    ("solve --problem sqrt-toy",
+     "9481b30c464b1cd6c45cca9910d5f9e9112290751e2ce12a15edfa895b449eeb"),
+    ("solve --problem quarter-kannan",
+     "e793a4a7c26d638a599813e7e75675a140842cb2e282d7a5febe3ad46324b830"),
+    ("solve --problem quarter-chatterjea",
+     "b86e624a746c9f67f5d799f6c70d21746502f8a3319383b5c57e7aca0704d1db"),
+    ("verify --problem paper-scalar --samples 500",
+     "b1605c7cf6ccffc4f2b9c06b15ed7288ab83feb266145d2195ae086890462ac5"),
+    ("verify --problem paper-segment --samples 500",
+     "f227d7065e12f3381b49ede3153abb5eaf31ad2e0f520869268c790f4831f583"),
+    ("verify --problem sqrt-toy --samples 500",
+     "f227d7065e12f3381b49ede3153abb5eaf31ad2e0f520869268c790f4831f583"),
+    ("verify --problem quarter-kannan --samples 500",
+     "635b0a028a13db47878b6c9324cd50b26f8880a754e578f60cd029cf702ffd59"),
+    ("verify --problem quarter-chatterjea --samples 500",
+     "1224461b09b542c17bc5caf702f9e6e7e19b63eb6801ccb152044ba89fca06de"),
+    ("estimate --problem paper-scalar --verbose",
+     "60a6f5eebe355dd7efd913d9896b5f69d17b0355f0b98313acbeadb089d2d9cf"),
+    ("estimate --problem paper-segment --verbose",
+     "3387e25bbaa76604fd523dedc3508bb1aabad956468ffdc409b5d564cd1134a6"),
+    ("estimate --problem sqrt-toy --verbose",
+     "9e87c545270a2b6928c0f6bc9f34bbd5330c424848111a37c14856c401274b58"),
+    ("estimate --problem quarter-kannan --verbose",
+     "0eb08a1d742793df2cfcc78bea0ea1a1a539eb6850b3f99c937d6453c6d5c5ea"),
+    ("estimate --problem quarter-chatterjea --verbose",
+     "c0e7263aa936d11e78c4c90958b0c727fa11323ac53631e2478674a4c7d4ff3f"),
+    ("solve --problem sqrt-toy --x0 1",
+     "bd455d15ba57f638a0b4364f2b37ab96ec1dac7265616260e015f660245fca2d"),
+    ("solve --problem paper-scalar --max-iter 3",
+     "3ff0ab28b6d39efba38a5079ee485f6b1934118f80b5316a744841db46ee24a5"),
+    ("solve --expr x/2+1 --space real-line-exp --lambda 0 --x0 0",
+     "00e78f927347b402b8a56f3ed9f42377128a0583e1afbcb35fd1515ece99b948"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_seeded_output_is_unchanged(command, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main([*command.split(), "--out", "out.json"])
+    out = tmp_path / "out.json"
+    data = out.read_bytes() if out.exists() else b""
+    captured = capsys.readouterr()
+    h = hashlib.sha256()
+    for part in (str(rc).encode(), data, captured.out.encode(), captured.err.encode()):
+        h.update(hashlib.sha256(part).digest())
+    assert h.hexdigest() == digest

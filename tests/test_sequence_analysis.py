@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from mulmetric import spaces
 from mulmetric.errors import InputError
-from mulmetric.metric_core import PosVec, SegmentPoint
+from mulmetric.metric_core import MulDistance, PosVec, RealVec, SegmentPoint
 from mulmetric.sequence_analysis import (
+    BoundReport,
+    SeqDiagnostic,
     bounded_diagnostic,
     bw_extract,
     cauchy_diagnostic,
@@ -18,6 +20,7 @@ from mulmetric.sequence_analysis import (
     continuity_probe,
     convergence_diagnostic,
     monotone_subsequence,
+    tail_start,
 )
 
 POS = spaces.positive_reals()
@@ -32,6 +35,63 @@ def bounded_by_matrix(seq, space):
               if all(logs[i][j] < ln2
                      for i in range(cand, len(seq)) for j in range(i + 1, len(seq))))
     return n0, math.exp(max([ln2] + [logs[k][n0] for k in range(n0)]))
+
+
+def former_cauchy_diagnostic(seq, space, tol_log, window=None):
+    """cauchy_diagnostic's former pair loop over the whole window, kept verbatim
+    as the oracle (argument checks left out)."""
+    if window is None:
+        window = len(seq) - tail_start(len(seq))
+    start = len(seq) - window
+    worst, worst_pair = -1.0, None
+    for i in range(start, len(seq)):
+        for j in range(i + 1, len(seq)):
+            rho = space.dist(seq[i], seq[j]).log_value
+            if rho > worst:
+                worst, worst_pair = rho, (i, j)
+    if worst <= tol_log:
+        return SeqDiagnostic(True, detail=f"window max ln d = {worst:.3e} <= {tol_log:.3e}")
+    i, j = worst_pair
+    return SeqDiagnostic(False, i, MulDistance(worst),
+                         f"ln d(x_{i}, x_{j}) = {worst:.3e} > {tol_log:.3e}")
+
+
+def former_bounded_diagnostic(seq, space):
+    """bounded_diagnostic's former pair loop, kept verbatim as the oracle."""
+    ln2 = math.log(2.0)
+    n, n0 = len(seq), 0
+    for k in range(n - 1):
+        if not all([space.dist(seq[k], seq[j]).log_value < ln2 for j in range(k + 1, n)]):
+            n0 = k + 1
+    row = [space.dist(x, seq[n0]).log_value for x in seq]
+    m_log = max([ln2] + row[:n0])
+    assert all(r <= m_log + 1e-12 for r in row)
+    return BoundReport(center_index=n0, M=math.exp(m_log))
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the row evaluation must raise what the pair loop raised
+        return type(exc), str(exc)
+
+
+def mended(result):
+    """The former loop's result with its -1.0 sentinel, which a one-term window
+    printed, read as 0: the largest distance of an empty window."""
+    if isinstance(result, SeqDiagnostic) and "= -1.000e+00 <=" in result.detail:
+        return dataclasses.replace(result, detail=result.detail.replace("-1.000e+00", "0.000e+00"))
+    return result
+
+
+def assert_matches_the_pair_loops(seq, space, tol, window):
+    bounded = outcome(bounded_diagnostic, seq, space)
+    reference = outcome(former_bounded_diagnostic, seq, space)
+    assert bounded == reference
+    if isinstance(bounded, BoundReport):
+        assert bounded.M.hex() == reference.M.hex()
+    assert (outcome(cauchy_diagnostic, seq, space, tol, window)
+            == mended(outcome(former_cauchy_diagnostic, seq, space, tol, window)))
 
 
 def seq_root_of_two(n):
@@ -83,6 +143,19 @@ class TestCauchyDiagnostic:
     def test_bad_tolerance_rejected(self, seq, tol):
         with pytest.raises(InputError, match="tol_log"):
             cauchy_diagnostic(seq, POS, tol)
+
+    @pytest.mark.parametrize("space, seq", [
+        (POS, [1.0]),
+        (dataclasses.replace(POS, chart=None), [1.0]),
+        (POS, [1.0, 3.0, 0.5]),
+        (DSTAR, [PosVec((1.0, 2.0, 3.0))]),
+        (DSTAR, [PosVec((1.0, 2.0, 3.0)), PosVec((2.0, 2.0, 3.0))]),
+    ], ids=["chart", "chartless", "chart-longer", "d-star", "d-star-longer"])
+    def test_one_term_window_reports_zero(self, space, seq):
+        diag = cauchy_diagnostic(seq, space, 0.5, window=1)
+        assert diag == SeqDiagnostic(True, detail="window max ln d = 0.000e+00 <= 5.000e-01")
+        if len(seq) == 1:
+            assert cauchy_diagnostic(seq, space, 0.5) == diag
 
 
 class TestBoundedDiagnostic:
@@ -153,7 +226,7 @@ ONE_COORDINATE = {
 
 
 def without_chart(space):
-    """The space without its chart: the pair loops, the reference path."""
+    """The space without its chart: every row is evaluated in full."""
     return dataclasses.replace(space, chart=None)
 
 
@@ -173,13 +246,6 @@ def unit_sequences(draw):
     return units, draw(st.none() | st.integers(1, n)), draw(st.sampled_from([0.0, 0.5]))
 
 
-def outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:  # the fallback must raise what the pair loop raises
-        return type(exc), str(exc)
-
-
 class TestChartPath:
     @pytest.mark.parametrize("name", sorted(ONE_COORDINATE))
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -192,12 +258,8 @@ class TestChartPath:
         space, point = ONE_COORDINATE[name]
         units, window, tol = case
         seq = [point(u) for u in units]
-        report = bounded_diagnostic(seq, space)
-        reference = bounded_diagnostic(seq, without_chart(space))
-        assert report == reference
-        assert report.M.hex() == reference.M.hex()
-        assert (cauchy_diagnostic(seq, space, tol, window)
-                == cauchy_diagnostic(seq, without_chart(space), tol, window))
+        for path in (space, without_chart(space)):
+            assert_matches_the_pair_loops(seq, path, tol, window)
 
     @pytest.mark.parametrize("space, seq", [
         (POS, [2.0, 0.0, 3.0]),
@@ -205,10 +267,11 @@ class TestChartPath:
         (spaces.positive_interval(0.5, 4.0), [1.0, 5.0, 2.0]),
     ], ids=["zero", "inf-twice", "outside-interval"])
     def test_bad_terms_fall_back_to_the_pair_loops(self, space, seq):
-        for diagnostic, args in ((bounded_diagnostic, ()), (cauchy_diagnostic, (0.1,))):
+        for diagnostic, former, args in ((bounded_diagnostic, former_bounded_diagnostic, ()),
+                                         (cauchy_diagnostic, former_cauchy_diagnostic, (0.1,))):
             got = outcome(diagnostic, seq, space, *args)
             assert isinstance(got, tuple), "the chart path returned instead of raising"
-            assert got == outcome(diagnostic, seq, without_chart(space), *args)
+            assert got == outcome(former, seq, space, *args)
 
     def test_costs_one_scalar_row(self):
         # bounded_diagnostic's row to the centre (for M), cauchy_diagnostic's
@@ -226,6 +289,46 @@ class TestChartPath:
         calls.clear()
         cauchy_diagnostic(seq, counting, 0.1, window=8)
         assert len(calls) == 7
+
+
+# spaces without a one-coordinate chart: each maps two draws in [0, 1] to a
+# point, and has a term whose distances raise
+MULTI_COORDINATE = {
+    "d-star": (spaces.positive_vectors(2),
+               lambda u, v: PosVec((math.exp(4.0 * u - 2.0), math.exp(4.0 * v - 2.0))),
+               PosVec((1.0, 2.0, 3.0))),
+    "d-a": (spaces.exp_metric(2, 2.0), lambda u, v: RealVec((10.0 * u, 10.0 * v - 5.0)),
+            RealVec((1.0,))),
+    "product-pos": (spaces.product_space(POS, POS),
+                    lambda u, v: (math.exp(4.0 * u - 2.0), math.exp(2.0 * v)), (0.0, 1.0)),
+}
+
+
+@st.composite
+def unit_pair_sequences(draw):
+    """unit_sequences with two draws per term, plus the index of a term
+    replaced by one whose distances raise (None for none)."""
+    units, window, tol = draw(unit_sequences())
+    second, _, _ = draw(unit_sequences())
+    pairs = list(zip(units, (second * len(units))[:len(units)]))
+    bad = draw(st.none() | st.integers(0, len(pairs) - 1))
+    return pairs, window, tol, bad
+
+
+class TestRowEvaluation:
+    """Spaces without a one-coordinate chart evaluate every row in full."""
+
+    @pytest.mark.parametrize("name", sorted(MULTI_COORDINATE))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=unit_pair_sequences())
+    @example(case=([(0.3, 0.4)], None, 0.0, None))
+    @example(case=([(0.2, 0.9), (0.9, 0.2)] * 6, 2, 0.0, None))
+    @example(case=([(0.2, 0.9), (0.9, 0.2)] * 6, None, 0.5, 11))
+    def test_matches_the_pair_loops(self, name, case):
+        space, point, bad_point = MULTI_COORDINATE[name]
+        pairs, window, tol, bad = case
+        seq = [bad_point if k == bad else point(u, v) for k, (u, v) in enumerate(pairs)]
+        assert_matches_the_pair_loops(seq, space, tol, window)
 
 
 class TestSupInfCharacterization:
