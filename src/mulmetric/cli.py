@@ -140,7 +140,7 @@ def _write_json(payload: dict, out: str | None):
 
 
 #: problem fields an explicit flag sets, on registry, file and inline problems alike
-OVERRIDES = ("kind", "lam", "tol_log", "max_iter", "dim", "base", "lo", "hi")
+OVERRIDES = ("kind", "lam", "tol_log", "max_iter", "dim", "base", "lo", "hi", "seed")
 
 
 def _given(args, names) -> dict:
@@ -154,7 +154,7 @@ def _load_problem(args) -> tuple[reg.ProblemDefinition, spaces.SelfMap]:
         given["x0"] = reg.parse_value("x0", args.x0)
     if not args.problem:
         pd = reg.ProblemDefinition(space_id=args.space or "pos-reals", map_id=args.map,
-                                   expr=args.expr, seed=args.seed, **given)
+                                   expr=args.expr, **given)
     elif args.problem in reg.REGISTRY:
         pd = dataclasses.replace(reg.REGISTRY[args.problem].problem, **given)
     else:
@@ -184,7 +184,7 @@ def _emit_report(report, ok: bool, out: str | None) -> int:
 def _verify_space(args) -> int:
     sp = spaces.build(args.space, complex_coords=args.complex,
                       **_given(args, ("dim", "base", "lo", "hi")))
-    report = verify_axioms(sp, args.samples, seed=args.seed)
+    report = verify_axioms(sp, args.samples, seed=args.seed or 0)
     return _emit_report(report, report.all_ok, args.out)
 
 
@@ -194,13 +194,13 @@ def _verify_expr_dist(args) -> int:
     # scalar samples: distinct floats are distinct points
     candidate = spaces.SpaceInstance(args.expr_dist, compile_expr(args.expr_dist, ("x", "y")),
                                      lambda rng: rng.uniform(lo, hi), points_equal=operator.eq)
-    report = verify_axioms(candidate, args.samples, seed=args.seed)
+    report = verify_axioms(candidate, args.samples, seed=args.seed or 0)
     return _emit_report(report, report.all_ok, args.out)
 
 
 def _verify_contraction(args) -> int:
     pd, map_ = _load_problem(args)
-    report = verify_contraction(map_, pd.kind, pd.lam, args.samples, args.seed)
+    report = verify_contraction(map_, pd.kind, pd.lam, args.samples, pd.seed)
     return _emit_report(report, report.condition_ok, args.out)
 
 
@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
 
 def cmd_estimate(args) -> int:
     pd, map_ = _load_problem(args)
-    lambda_hat, witness = fp.estimate_lambda(map_, args.pairs, pd.kind, args.seed)
+    lambda_hat, witness = fp.estimate_lambda(map_, args.pairs, pd.kind, pd.seed)
     print(f"{lambda_hat!r}")
     if args.verbose:
         print(f"witness pair: {witness}", file=sys.stderr)
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hi", type=float)
         p.add_argument("--kind", choices=("banach", "kannan", "chatterjea"))
         p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="sampler seed (default: the problem's, else 0)")
         p.add_argument("--out", help="output file (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="run a fixed-point solve, export the trace")

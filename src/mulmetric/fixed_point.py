@@ -156,12 +156,21 @@ def _require_kind(spec: ContractionSpec, kind: str, solver: str):
         raise InputError(f"{solver} requires a {kind} spec, got {spec.kind}")
 
 
-def banach_solve(map_: SelfMap, x0, spec: ContractionSpec,
-                 tol_log: float = DEFAULT_TOL_LOG,
-                 max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
-    """Picard iteration under the multiplicative Banach condition."""
-    _require_kind(spec, "banach", "banach_solve")
-    return solve(map_, x0, spec, tol_log, max_iter)
+def _kind_solver(kind: str) -> Callable[..., SolverReport]:
+    def kind_solve(map_: SelfMap, x0, spec: ContractionSpec,
+                   tol_log: float = DEFAULT_TOL_LOG,
+                   max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
+        _require_kind(spec, kind, kind_solve.__name__)
+        return solve(map_, x0, spec, tol_log, max_iter)
+
+    kind_solve.__name__ = kind_solve.__qualname__ = f"{kind}_solve"
+    kind_solve.__doc__ = f"Picard iteration under the {kind}-type condition ({kind} specs only)."
+    return kind_solve
+
+
+banach_solve = _kind_solver("banach")
+kannan_solve = _kind_solver("kannan")
+chatterjea_solve = _kind_solver("chatterjea")
 
 
 def ball_solve(map_: SelfMap, x0, epsilon: float, spec: ContractionSpec,
@@ -211,22 +220,6 @@ def power_solve(map_: SelfMap, n_power: int, spec: ContractionSpec, x0,
                 f"ln d(fz, z) = {f_residual:.6e} > {tol_log:.6e}")
         report.residual_log = f_residual
     return report
-
-
-def kannan_solve(map_: SelfMap, x0, spec: ContractionSpec,
-                 tol_log: float = DEFAULT_TOL_LOG,
-                 max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
-    """Picard iteration under the Kannan-type condition (rate h = lam/(1-lam))."""
-    _require_kind(spec, "kannan", "kannan_solve")
-    return solve(map_, x0, spec, tol_log, max_iter)
-
-
-def chatterjea_solve(map_: SelfMap, x0, spec: ContractionSpec,
-                     tol_log: float = DEFAULT_TOL_LOG,
-                     max_iter: int = DEFAULT_MAX_ITER) -> SolverReport:
-    """Picard iteration under the Chatterjea-type condition (same rate h)."""
-    _require_kind(spec, "chatterjea", "chatterjea_solve")
-    return solve(map_, x0, spec, tol_log, max_iter)
 
 
 def solve(map_: SelfMap, x0, spec: ContractionSpec,

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -157,15 +157,6 @@ class SegmentPoint:
             raise DomainError(f"one coordinate must equal 1: {self}")
 
 
-def _coords(x) -> Sequence:
-    """Accept a typed vector or any bare sequence of coordinates."""
-    if isinstance(x, CoordVector):
-        return x.coords
-    if isinstance(x, (int, float, complex)):
-        return (x,)
-    return tuple(x)
-
-
 # ---------------------------------------------------------------------------
 # concrete metrics, each one chart
 
@@ -177,8 +168,8 @@ class Chart:
     `phi` maps a point to its chart coordinates (one number for a `scalar`
     chart, where None is the point itself).  The scale is a factor and a
     divisor so that ln(a) * gap and gap / 3 keep their closed forms bit for
-    bit.  `dist` gives rho of two points as a MulDistance, `rho` of two
-    arrays of chart coordinates (last axis: one point's coordinates).
+    bit.  `dist` gives rho of two points as a MulDistance (a DomainError for anything phi
+    cannot read), `rho` of two arrays of chart coordinates (last axis: one point's coordinates).
     """
 
     phi: Optional[Callable] = None
@@ -203,13 +194,11 @@ class Chart:
                     r = abs(x - y) if phi is None else abs(phi(x) - phi(y))
                 else:
                     a, b = phi(x), phi(y)
-                    if linf:
-                        r = float(np.max(np.abs(a - b)))
-                    elif len(a) != len(b):
+                    if len(a) != len(b):
                         raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
-                    else:
-                        r = sum(map(abs, map(operator.sub, a, b)))
-            except (ValueError, TypeError):
+                    r = (float(np.max(np.abs(a - b))) if linf
+                         else sum(map(abs, map(operator.sub, a, b))))
+            except (AttributeError, ValueError, TypeError):
                 raise DomainError(f"not points of this space: {x!r}, {y!r}") from None
             return MulDistance(r if unit else r * factor / divisor)
 
@@ -231,9 +220,9 @@ def _segment_log(p) -> float:
     return math.log(p.u) - math.log(p.v)
 
 
-#: |.|* on R_+ and d* on R_+^n: L1 in log coordinates
+#: |.|* on R_+ (float points) and d* on R_+^n (PosVec points): L1 in log coordinates
 POS_CHART = Chart(math.log, scalar=True)
-D_STAR_CHART = Chart(lambda x: tuple(map(math.log, _coords(x))))
+D_STAR_CHART = Chart(lambda x: tuple(map(math.log, x.coords)))
 #: d_e on R: |x - y|
 LINE_CHART = Chart(scalar=True)
 #: the cube-root product metric on the two unit-anchored segments
@@ -243,10 +232,10 @@ SUP_CHART = Chart(lambda f: f._log_values, norm="linf")
 
 
 def exp_chart(base: float) -> Chart:
-    """d_a = a^(sum |x_i - y_i|) on R^n or C^n (moduli): L1, scaled by ln a."""
+    """d_a = a^(sum |x_i - y_i|) on R^n or C^n (RealVec or ComplexVec): L1, scaled by ln a."""
     if not (1 < base < math.inf):
         raise DomainError(f"base must be finite and exceed 1, got {base}")
-    return Chart(_coords, factor=math.log(base))
+    return Chart(operator.attrgetter("coords"), factor=math.log(base))
 
 
 #: d* (the product-of-ratios metric) and the segment metric on two points
@@ -261,9 +250,10 @@ def dist_exp(x, y, base: float) -> MulDistance:
 
 def dist_function_sup(f: SampledPosFunction, g: SampledPosFunction) -> MulDistance:
     """Sup metric on sampled positive functions: max pointwise ratio gap."""
+    rho = SUP_CHART.dist(f, g)  # a DomainError for anything but two sampled functions
     if f.grid is not g.grid and f.grid != g.grid:
         raise ShapeError("functions must be sampled on the identical grid")
-    return SUP_CHART.dist(f, g)
+    return rho
 
 
 # ---------------------------------------------------------------------------

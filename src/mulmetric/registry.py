@@ -93,11 +93,9 @@ def decode_point(pd: ProblemDefinition, coords: tuple):
         raise InputError(f"space {space!r} expects a start point of {n} coordinate(s)")
     if space == "segment":
         return SegmentPoint(*coords)
-    if space == "product-pos":
-        return coords
-    if n > 1:
+    if space in ("d-star", "d-a"):
         return (PosVec if space == "d-star" else RealVec)(coords)
-    return coords[0]
+    return coords if space == "product-pos" else coords[0]
 
 
 def encode_point(point) -> list:

@@ -105,11 +105,11 @@ def positive_interval(lo: float, hi: float) -> SpaceInstance:
     return replace(sp, name=f"pos-interval[{lo},{hi}]", dist=chart.dist, chart=chart)
 
 
-def positive_vectors(n: int, lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:
-    """(R_+^n, d*): product-of-ratios metric."""
+def positive_vectors(n: int) -> SpaceInstance:
+    """(R_+^n, d*): product-of-ratios metric; samples log-uniform on [0.01, 100]."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    log_lo, width = _log_uniform(lo, hi)
+    log_lo, width = _log_uniform(0.01, 100.0)
 
     def sample(rng: random.Random) -> PosVec:
         draw = rng.random
@@ -119,10 +119,9 @@ def positive_vectors(n: int, lo: float = 0.01, hi: float = 100.0) -> SpaceInstan
                          lambda u: log_lo + width * u)
 
 
-def exp_metric(n: int, base: float, lo: float = -10.0, hi: float = 10.0,
-               complex_coords: bool = False) -> SpaceInstance:
-    """(R^n or C^n, d_a): the metric base^(sum |x_i - y_i|)."""
-    chart = mc.exp_chart(base)
+def exp_metric(n: int, base: float, complex_coords: bool = False) -> SpaceInstance:
+    """(R^n or C^n, d_a): the metric base^(sum |x_i - y_i|), parts sampled on [-10, 10]."""
+    chart, lo, hi = mc.exp_chart(base), -10.0, 10.0
     if n < 1:
         raise DomainError("dimension must be >= 1")
 
@@ -141,9 +140,9 @@ def exp_metric(n: int, base: float, lo: float = -10.0, hi: float = 10.0,
                          lambda u: lo + (hi - lo) * u)
 
 
-def real_line_exp(lo: float = -10.0, hi: float = 10.0) -> SpaceInstance:
-    """(R, d_e): scalar reals with d(x,y) = e^|x-y| (log gap = |x-y|)."""
-    width = hi - lo
+def real_line_exp() -> SpaceInstance:
+    """(R, d_e): scalar reals with d(x,y) = e^|x-y| (log gap = |x-y|), sampled on [-10, 10]."""
+    lo, width = -10.0, 20.0
     return SpaceInstance("real-line-exp", mc.LINE_CHART.dist,
                          lambda rng: lo + width * rng.random(),
                          mc.LINE_CHART, 1, lambda u: lo + width * u)
@@ -165,24 +164,28 @@ def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
         return SpaceInstance(name, lambda p, q: s1.dist(p[0], q[0]) * s2.dist(p[1], q[1]),
                              sample)
     phi1, phi2 = (c.phi or (lambda x: x) for c in (s1.chart, s2.chart))
-    chart = Chart(lambda p: (phi1(p[0]), phi2(p[1])))
+
+    def phi(p):
+        p1, p2 = p if isinstance(p, tuple) else ()  # a ValueError for anything but a pair
+        return phi1(p1), phi2(p2)
+
+    chart = Chart(phi)
     k, decode1, decode2 = s1.draws, s1.decode, s2.decode
     return SpaceInstance(name, chart.dist, sample, chart, k + s2.draws,
                          lambda u: np.concatenate([decode1(u[..., :k]), decode2(u[..., k:])], -1))
 
 
-def function_space(a: float, b: float, n_grid: int = 1024,
-                   lo: float = 0.1, hi: float = 10.0) -> SpaceInstance:
+def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     """Sampled positive functions on [a, b] under the sup ratio metric.
 
-    The sampler draws smooth positive functions c * x |-> exp(s * t(x)) via
-    a random low-order trigonometric bump, sampled on the shared grid.
+    The sampler draws smooth positive functions c * x |-> exp(s * t(x)) via a random
+    low-order trigonometric bump, c log-uniform on [0.1, 10], on the shared grid.
     """
     if not (b > a):
         raise DomainError("need b > a")
     grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
     grid_arr = np.asarray(grid)
-    log_lo, width = _log_uniform(lo, hi)
+    log_lo, width = _log_uniform(0.1, 10.0)
 
     def sample(rng: random.Random) -> SampledPosFunction:
         c = math.exp(log_lo + width * rng.random())

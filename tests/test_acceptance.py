@@ -24,7 +24,7 @@ from mulmetric.fixed_point import (
     kannan_solve,
     power_solve,
 )
-from mulmetric.metric_core import SegmentPoint, dist_pos_vec
+from mulmetric.metric_core import PosVec, SegmentPoint, dist_pos_vec
 from mulmetric.sequence_analysis import (
     bw_extract,
     cauchy_diagnostic,
@@ -143,7 +143,7 @@ def test_criterion_6_log_isometry_oracle():
             x = [math.exp(rng.uniform(-6, 6)) for _ in range(dim)]
             y = [math.exp(rng.uniform(-6, 6)) for _ in range(dim)]
             oracle = sum(abs(math.log(a) - math.log(b)) for a, b in zip(x, y))
-            ok &= abs(dist_pos_vec(x, y).log_value - oracle) <= 1e-12
+            ok &= abs(dist_pos_vec(PosVec(x), PosVec(y)).log_value - oracle) <= 1e-12
     announce(6, ok, "ln d* equals the L1 log-coordinate metric within 1e-12")
 
 

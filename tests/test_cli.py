@@ -86,6 +86,8 @@ class TestSolve:
     @pytest.mark.parametrize("space, x0, point", [
         (["--space", "product-pos"], "1,2", [[1.0], [2.0]]),
         (["--space", "d-a", "--dim", "2"], "1,2", [1.0, 2.0]),
+        (["--space", "d-a", "--dim", "1"], "-2", [-2.0]),
+        (["--space", "d-star", "--dim", "1"], "2", [2.0]),
     ])
     def test_vector_and_pair_start_points(self, space, x0, point, tmp_path):
         out = tmp_path / "trace.json"
@@ -393,6 +395,48 @@ class TestParserReuse:
             assert run(argv + extra) == 0
             assert (0, capsys.readouterr().out, "") == fresh_process(argv + extra, tmp_path)
         assert [kw["complex_coords"] for kw in built] == [True, False]
+
+
+class TestOnePointForm:
+    """A chart space's distance takes only that space's points: anything else a map
+    returns is a DomainError (exit 2), never a silent success or a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--expr", "1", "--space", "d-a", "--dim", "2", "--samples", "2"],
+        ["verify", "--expr", "1", "--space", "d-star", "--dim", "1", "--samples", "2"],
+        ["solve", "--expr", "1", "--space", "d-star", "--dim", "1", "--x0", "2"],
+        ["verify", "--expr", "1", "--space", "func-sup", "--samples", "2"],
+        ["estimate", "--expr", "1", "--space", "func-sup", "--pairs", "2"],
+        ["solve", "--expr", "x+x", "--space", "product-pos", "--x0", "1,2"],
+    ], ids=["d-a-2", "d-star-1", "d-star-1-start", "func-sup-verify", "func-sup-estimate",
+            "product-pos-4-tuple"])
+    def test_non_points_exit_2(self, argv, capsys):
+        assert run([*argv, "--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not points of this space: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("space_id, vector", [("d-star", PosVec), ("d-a", RealVec)])
+    def test_start_points_are_vectors_at_every_dim(self, space_id, vector, dim):
+        pd = ProblemDefinition(space_id=space_id, expr="x", dim=dim)
+        point = registry.decode_point(pd, (2.0,) * dim)
+        assert type(point) is vector and point.coords == (2.0,) * dim
+
+
+class TestProblemSeed:
+    """A problem file's seed drives verify --problem and estimate; --seed overrides it."""
+
+    @pytest.mark.parametrize("argv", [["estimate", "--pairs", "50", "--verbose"],
+                                      ["verify", "--samples", "50"]], ids=["estimate", "verify"])
+    def test_file_seed_equals_flag(self, argv, tmp_path, capsys):
+        problem = tmp_path / "seven.txt"
+        problem.write_text("space_id = pos-reals\nmap_id = sqrt-toy\nseed = 7\n")
+        outputs = []
+        for source in (["--problem", str(problem)], ["--map", "sqrt-toy", "--seed", "7"],
+                       ["--problem", str(problem), "--seed", "0"]):
+            assert run([*argv, *source]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] != outputs[2]
 
 
 class TestEstimate:

@@ -128,3 +128,15 @@ def test_solve_exit_contract(text, space, x0):
 def test_verify_expr_dist_exit_contract(text):
     argv = ["verify", f"--expr-dist={text}", "--samples", "5", "--seed", "1"]
     assert run_cli(argv) in {0, 2, 3, 4}
+
+
+MAP_SPACES = [["d-star", "--dim", "1"], ["d-star", "--dim", "2"], ["d-a", "--dim", "1"],
+              ["d-a", "--dim", "2"], ["func-sup"], ["segment"], ["product-pos"]]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(expressions(("x",)), st.sampled_from(MAP_SPACES),
+       st.sampled_from([["verify", "--samples", "3"], ["estimate", "--pairs", "3"]]))
+def test_map_exit_contract(text, space, command):
+    argv = [command[0], f"--expr={text}", "--space", *space, *command[1:], "--seed", "1"]
+    assert run_cli(argv) in {0, 2, 3, 4}

@@ -172,8 +172,13 @@ class TestBanachSolve:
         assert len(report.trace) == 10
 
     def test_kind_mismatch(self):
-        with pytest.raises(InputError):
-            banach_solve(SQRT, 4.0, ContractionSpec("kannan", 0.3))
+        # every kind solver, each given a spec of another kind (one test id, over all three)
+        for solver, kind, other in [(banach_solve, "banach", "kannan"),
+                                    (kannan_solve, "kannan", "chatterjea"),
+                                    (chatterjea_solve, "chatterjea", "banach")]:
+            with pytest.raises(InputError,
+                               match=f"^{kind}_solve requires a {kind} spec, got {other}$"):
+                solver(SQRT, 4.0, ContractionSpec(other, 0.3))
 
     def test_rescaling_equivariance(self):
         # conjugating by a positive scaling leaves the log-step trace unchanged

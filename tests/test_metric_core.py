@@ -10,6 +10,7 @@ from mulmetric import (
     MulBall,
     MulDistance,
     PosVec,
+    RealVec,
     SampledPosFunction,
     SegmentPoint,
     ball_contains,
@@ -62,22 +63,27 @@ class TestMabs:
 
 class TestDistPosVec:
     def test_identity(self):
-        assert dist_pos_vec((2, 3), (2, 3)).value == 1.0
+        assert dist_pos_vec(PosVec((2, 3)), PosVec((2, 3))).value == 1.0
 
     def test_product_of_ratios(self):
         # |2/1|* . |3/6|* = 2 . 2 = 4
-        assert dist_pos_vec((2, 3), (1, 6)).value == pytest.approx(4.0, rel=1e-14)
+        assert dist_pos_vec(PosVec((2, 3)), PosVec((1, 6))).value == pytest.approx(4.0, rel=1e-14)
 
     def test_scalar_case_matches_mabs(self):
-        assert dist_pos_vec((0.5,), (1,)).value == pytest.approx(2.0, rel=1e-14)
+        assert dist_pos_vec(PosVec((0.5,)), PosVec((1,))).value == pytest.approx(2.0, rel=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            dist_pos_vec((1, 2), (1, 2, 3))
+            dist_pos_vec(PosVec((1, 2)), PosVec((1, 2, 3)))
 
     def test_rejects_nonpositive_coords(self):
         with pytest.raises(DomainError):
-            dist_pos_vec((1, -2), (1, 2))
+            dist_pos_vec(RealVec((1, -2)), PosVec((1, 2)))
+
+    @pytest.mark.parametrize("x", [(2.0, 3.0), [2.0, 3.0], 2.0, ComplexVec((2, 3))])
+    def test_rejects_non_vectors(self, x):
+        with pytest.raises(DomainError):
+            dist_pos_vec(x, PosVec((2, 3)))
 
     @given(st.lists(positive, min_size=1, max_size=6),
            st.lists(positive, min_size=1, max_size=6))
@@ -86,26 +92,34 @@ class TestDistPosVec:
         n = min(len(xs), len(ys))
         xs, ys = xs[:n], ys[:n]
         oracle = sum(abs(math.log(a) - math.log(b)) for a, b in zip(xs, ys))
-        assert abs(dist_pos_vec(xs, ys).log_value - oracle) <= 1e-12
+        assert abs(dist_pos_vec(PosVec(xs), PosVec(ys)).log_value - oracle) <= 1e-12
 
 
 class TestDistExp:
     def test_real_closed_form(self):
-        assert dist_exp((1, 0), (0, 0), base=2).value == pytest.approx(2.0, rel=1e-14)
+        assert dist_exp(RealVec((1, 0)), RealVec((0, 0)), base=2).value == pytest.approx(
+            2.0, rel=1e-14)
 
     def test_identity(self):
-        assert dist_exp((1.5, -2.0), (1.5, -2.0), base=math.e).value == 1.0
+        x = RealVec((1.5, -2.0))
+        assert dist_exp(x, x, base=math.e).value == 1.0
 
     def test_complex_modulus(self):
-        assert dist_exp((1j,), (0,), base=2).value == pytest.approx(2.0, rel=1e-14)
+        assert dist_exp(ComplexVec((1j,)), RealVec((0,)), base=2).value == pytest.approx(
+            2.0, rel=1e-14)
 
     def test_rejects_base_at_most_one(self):
         with pytest.raises(DomainError):
-            dist_exp((1,), (0,), base=1.0)
+            dist_exp(RealVec((1,)), RealVec((0,)), base=1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            dist_exp((1, 2), (1,), base=2)
+            dist_exp(RealVec((1, 2)), RealVec((1,)), base=2)
+
+    @pytest.mark.parametrize("x", [(1.0, 0.0), 1.0, SegmentPoint(1.0, 2.0)])
+    def test_rejects_non_vectors(self, x):
+        with pytest.raises(DomainError):
+            dist_exp(x, RealVec((0, 0)), base=2)
 
     def test_closed_form_random_pairs(self):
         rng = random.Random(7)
@@ -115,7 +129,7 @@ class TestDistExp:
             x = [rng.uniform(-10, 10) for _ in range(n)]
             y = [rng.uniform(-10, 10) for _ in range(n)]
             expected = math.log(a) * sum(abs(u - v) for u, v in zip(x, y))
-            assert dist_exp(x, y, a).log_value == expected
+            assert dist_exp(RealVec(x), RealVec(y), a).log_value == expected
 
 
 class TestDistProduct:
@@ -149,6 +163,14 @@ class TestDistFunctionSup:
         g = self.grid_fn(lambda x: x, n=17)
         with pytest.raises(ShapeError):
             dist_function_sup(f, g)
+
+    @pytest.mark.parametrize("x", [1.0, PosVec((1.0, 2.0))])
+    def test_rejects_non_functions(self, x):
+        f = self.grid_fn(lambda t: t)
+        with pytest.raises(DomainError):
+            dist_function_sup(x, f)
+        with pytest.raises(DomainError):
+            dist_function_sup(f, x)
 
     def test_invalid_function(self):
         with pytest.raises(DomainError):
