@@ -192,6 +192,17 @@ def machine() -> dict:
             "numpy": numpy.__version__, "platform": platform.platform()}
 
 
+def export(rev: str, dest: str) -> str:
+    """Extract the tree of git revision `rev` into `dest`; its short hash."""
+    rev = subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return rev
+
+
 def merge_min(acc: dict, new: dict):
     for section, entries in new.items():
         for name, figures in entries.items():
@@ -205,13 +216,8 @@ def main() -> int:
     parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
     args = parser.parse_args()
-    rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as parent:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent)
+        rev = export(args.parent, parent)
         trees = {"parent": parent, "change": ROOT}
         layers = {side: {} for side in trees}
         crit5 = {side: float("inf") for side in trees}

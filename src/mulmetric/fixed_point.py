@@ -126,7 +126,7 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
     trace: list[TraceStep] = []
     x, fx = x0, map_(x0)
     for n in range(max_iter + 1):
-        step_log = space.dist(fx, x).log_value
+        step_log = space.dist(x, fx).log_value  # x first: a start point outside the space is named
         if n == 0:
             d10_log = apo = step_log
         # bounds on ln d(x_n, z): a-priori from the first step, a-posteriori from the

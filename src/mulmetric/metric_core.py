@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import DomainError, ShapeError
 
 #: Two points compare equal when their distance has log_value <= this.
@@ -121,6 +119,7 @@ class SampledPosFunction:
     values: tuple
 
     def __post_init__(self):
+        import numpy as np
         grid = self.grid if isinstance(self.grid, Grid) else Grid(self.grid)
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(grid),):
@@ -178,8 +177,8 @@ class Chart:
     divisor: float = 1.0
     scalar: bool = False
 
-    def rho(self, a, b) -> np.ndarray:
-        gap = np.abs(a - b)
+    def rho(self, a, b):
+        gap = abs(a - b)
         r = gap.max(axis=-1) if self.norm == "linf" else gap.sum(axis=-1)
         return r * self.factor / self.divisor
 
@@ -196,7 +195,7 @@ class Chart:
                     a, b = phi(x), phi(y)
                     if len(a) != len(b):
                         raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
-                    r = (float(np.max(np.abs(a - b))) if linf
+                    r = (float(abs(a - b).max()) if linf
                          else sum(map(abs, map(operator.sub, a, b))))
             except (AttributeError, ValueError, TypeError):
                 raise DomainError(f"not points of this space: {x!r}, {y!r}") from None

@@ -9,12 +9,11 @@ reproducible from a seed.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from . import metric_core as mc
 from .errors import DomainError, InputError
@@ -161,8 +160,12 @@ def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
 
     if not all(c is not None and c.scalar and c.factor == c.divisor == 1.0
                for c in (s1.chart, s2.chart)):
-        return SpaceInstance(name, lambda p, q: s1.dist(p[0], q[0]) * s2.dist(p[1], q[1]),
-                             sample)
+        def dist(p, q):
+            if not all(isinstance(t, tuple) and len(t) == 2 for t in (p, q)):
+                raise DomainError(f"not points of this space: {p!r}, {q!r}")
+            return s1.dist(p[0], q[0]) * s2.dist(p[1], q[1])
+
+        return SpaceInstance(name, dist, sample)
     phi1, phi2 = (c.phi or (lambda x: x) for c in (s1.chart, s2.chart))
 
     def phi(p):
@@ -171,8 +174,12 @@ def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
 
     chart = Chart(phi)
     k, decode1, decode2 = s1.draws, s1.decode, s2.decode
-    return SpaceInstance(name, chart.dist, sample, chart, k + s2.draws,
-                         lambda u: np.concatenate([decode1(u[..., :k]), decode2(u[..., k:])], -1))
+
+    def decode(u):
+        import numpy as np
+        return np.concatenate([decode1(u[..., :k]), decode2(u[..., k:])], -1)
+
+    return SpaceInstance(name, chart.dist, sample, chart, k + s2.draws, decode)
 
 
 def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
@@ -181,6 +188,7 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     The sampler draws smooth positive functions c * x |-> exp(s * t(x)) via a random
     low-order trigonometric bump, c log-uniform on [0.1, 10], on the shared grid.
     """
+    import numpy as np
     if not (b > a):
         raise DomainError("need b > a")
     grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
@@ -214,6 +222,7 @@ def segment_space() -> SpaceInstance:
         return SegmentPoint(1.0, t)
 
     def decode(u):
+        import numpy as np
         log_t = np.log(1.0 + u[..., :1])
         return np.where(u[..., 1:] < 0.5, log_t, -log_t)
 
@@ -236,24 +245,37 @@ def segment_half_power_map(space: SpaceInstance | None = None) -> SelfMap:
     return SelfMap("segment-half-power", fn, space)
 
 
-#: space id -> factory; each takes every keyword of `build` and uses its own
+#: space id -> factory, given the keywords it takes; each looks its builder up when called
 SPACES = {
-    "pos-reals": lambda **_: positive_reals(),
-    "pos-interval": lambda lo, hi, **_: positive_interval(lo, hi),
-    "d-star": lambda dim, **_: positive_vectors(dim),
-    "d-a": lambda dim, base, complex_coords, **_: exp_metric(
-        dim, base, complex_coords=complex_coords),
-    "real-line-exp": lambda **_: real_line_exp(),
-    "segment": lambda **_: segment_space(),
-    "func-sup": lambda lo, hi, **_: function_space(0.0 if lo is None else lo,
-                                                   1.0 if hi is None else hi),
-    "product-pos": lambda **_: product_space(positive_reals(), positive_reals()),
+    "pos-reals": lambda: positive_reals(),
+    "pos-interval": lambda lo, hi: positive_interval(lo, hi),
+    "d-star": lambda dim: positive_vectors(dim),
+    "d-a": lambda dim, base, complex_coords: exp_metric(dim, base, complex_coords),
+    "real-line-exp": lambda: real_line_exp(),
+    "segment": lambda: segment_space(),
+    "func-sup": lambda lo, hi: function_space(0.0 if lo is None else lo,
+                                              1.0 if hi is None else hi),
+    "product-pos": lambda: product_space(positive_reals(), positive_reals()),
 }
+#: the keywords each factory takes
+_TAKES = {space_id: inspect.signature(f).parameters.keys() for space_id, f in SPACES.items()}
+#: each keyword of `build` -> its CLI flag
+_FLAGS = {"dim": "--dim", "base": "--base", "lo": "--lo", "hi": "--hi",
+          "complex_coords": "--complex"}
 
 
 def build(space_id: str, dim: int = 1, base: float = math.e, lo: float | None = None,
           hi: float | None = None, complex_coords: bool = False) -> SpaceInstance:
-    """Build the space with the given id from the table above."""
+    """Build the space with the given id from the table above; a keyword given
+    other than its default that the space does not take is an InputError."""
     if space_id not in SPACES:
         raise InputError(f"unknown space id {space_id!r}")
-    return SPACES[space_id](dim=dim, base=base, lo=lo, hi=hi, complex_coords=complex_coords)
+    values, takes = dict(zip(_FLAGS, (dim, base, lo, hi, complex_coords))), _TAKES[space_id]
+    dropped = [_FLAGS[k] for k in _FLAGS if k not in takes and values[k] != _DEFAULTS[k]]
+    if dropped:
+        raise InputError(f"space {space_id!r} takes no {', '.join(dropped)}")
+    return SPACES[space_id](**{k: values[k] for k in takes})
+
+
+#: `build`'s own defaults, the values a space that does not take a keyword accepts
+_DEFAULTS = dict(zip(_FLAGS, build.__defaults__))

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from itertools import repeat, starmap
 from typing import ClassVar
 
-import numpy as np
-
 from .errors import InputError
 from .fixed_point import ContractionSpec, contraction_logs
 from .metric_core import POINT_EQ_TOL_LOG, MulDistance
@@ -122,6 +120,7 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int,
     CHART_REL_ERR per distance) is rebuilt from its draws as exact points and
     checked by the scalar code, which alone writes witnesses.  The space's
     identity is its distance, so the distinct-points m1 test is vacuous."""
+    import numpy as np
     draw, k, rho = random.Random(seed).random, space.draws, space.chart.rho
     width = space.decode(np.zeros(k)).shape[-1]
     block = max(1, BLOCK_FLOATS // (3 * max(k, width)))

@@ -123,7 +123,17 @@ def test_space_without_a_chart_takes_the_scalar_path():
 def test_every_space_id_builds_with_distance_identity():
     # points_equal None: the batched path serves every chart space of the table
     for space_id in spaces.SPACES:
-        assert spaces.build(space_id, lo=0.1, hi=1.0).points_equal is None
+        bounds = {"lo": 0.1, "hi": 1.0} if space_id == "pos-interval" else {}
+        assert spaces.build(space_id, **bounds).points_equal is None
+
+
+@pytest.mark.parametrize("space_id, factory", [("segment", "segment_space"),
+                                               ("real-line-exp", "real_line_exp")])
+def test_build_looks_the_factory_up_at_each_call(space_id, factory, monkeypatch):
+    # a wrapper set on the module attribute (as a tracer does) is the one build calls
+    calls, original = [], getattr(spaces, factory)
+    monkeypatch.setattr(spaces, factory, lambda: (calls.append(1), original())[1])
+    assert spaces.build(space_id).name == space_id and calls == [1]
 
 
 def test_function_samples_share_one_checked_grid():

@@ -139,6 +139,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_start_point_outside_the_space_is_named(self, capsys):
+        assert run(["solve", "--problem", "paper-scalar", "--x0", "5"]) == 2
+        assert capsys.readouterr().err == "error: point outside [0.1, 1.0]: 5.0\n"
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["verify", "--space", "d-star", "--base", "7", "--lo", "5"], "--base, --lo"),
+        (["verify", "--space", "d-a", "--lo", "0", "--hi", "inf"], "--lo, --hi"),
+        (["verify", "--space", "pos-reals", "--dim", "2"], "--dim"),
+        (["verify", "--space", "func-sup", "--base", "2"], "--base"),
+        (["verify", "--space", "pos-interval", "--lo", "0.1", "--hi", "1", "--dim", "3"], "--dim"),
+        (["solve", "--expr", "x", "--space", "segment", "--lo", "1", "--x0", "1,1"], "--lo"),
+    ], ids=["d-star-base-lo", "d-a-lo-hi", "pos-reals-dim", "func-sup-base",
+            "pos-interval-dim", "solve-segment-lo"])
+    def test_flags_the_space_does_not_take_exit_2(self, argv, flags, capsys):
+        assert run([*argv, "--samples" if argv[0] == "verify" else "--max-iter", "5",
+                    "--out", os.devnull]) == 2
+        space_id = argv[argv.index("--space") + 1]
+        assert capsys.readouterr().err == f"error: space {space_id!r} takes no {flags}\n"
+
 
 class TestVerify:
     def test_d_star_dim3(self, tmp_path):

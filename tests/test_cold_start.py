@@ -1,0 +1,46 @@
+"""Scalar commands start without numpy.
+
+pytest has numpy loaded already, so the probe runs in a fresh interpreter:
+it imports mulmetric, runs each command through `cli.main` in one process
+and reports, after each step, its exit code and whether numpy is loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import mulmetric
+from mulmetric.registry import REGISTRY
+
+PROBE = r"""
+import contextlib, io, json, os, sys
+import mulmetric
+steps = [("import mulmetric", 0, "numpy" in sys.modules)]
+from mulmetric import cli
+steps.append(("import mulmetric.cli", 0, "numpy" in sys.modules))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--out", os.devnull] if argv[0] != "estimate" else argv)
+    steps.append((" ".join(argv), code, "numpy" in sys.modules))
+print(json.dumps(steps))
+"""
+
+SCALAR_COMMANDS = [
+    *([command, "--problem", pid] for pid in REGISTRY for command in ("solve", "estimate")),
+    *(["verify", "--problem", pid, "--samples", "200"] for pid in REGISTRY),
+    ["solve", "--expr", "x/2+1", "--space", "real-line-exp", "--x0", "0"],
+]
+
+
+def test_scalar_commands_load_no_numpy():
+    argvs = [*SCALAR_COMMANDS, ["verify", "--space", "pos-reals", "--samples", "200"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mulmetric.__file__)))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    steps = [tuple(step) for step in json.loads(proc.stdout)]
+    scalar, batched = steps[:-1], steps[-1]
+    assert scalar == [("import mulmetric", 0, False), ("import mulmetric.cli", 0, False)] + [
+        (" ".join(argv), 0, False) for argv in SCALAR_COMMANDS]
+    # the batched axiom check still works in the same process, and loads numpy
+    assert batched == ("verify --space pos-reals --samples 200", 0, True)

@@ -138,6 +138,17 @@ class TestDistProduct:
         out = MulDistance.from_value(d1) * MulDistance.from_value(d2)
         assert out.value == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("point", [1.0, (SegmentPoint(1.0, 1.0), 2.0, 3.0)],
+                             ids=["float", "3-tuple"])
+    def test_chartless_pair_space_rejects_non_pairs(self, point):
+        space = spaces.product_space(spaces.segment_space(), spaces.positive_reals())
+        assert space.chart is None
+        pair = (SegmentPoint(1.0, 1.0), 2.0)
+        assert space.dist(pair, pair).log_value == 0.0
+        for p, q in ((point, pair), (pair, point)):
+            with pytest.raises(DomainError, match="not points of this space"):
+                space.dist(p, q)
+
 
 class TestDistFunctionSup:
     def grid_fn(self, fn, a=1.0, b=2.0, n=257):
