@@ -9,10 +9,6 @@ from .metric_core import (
     SegmentPoint,
     MulBall,
     mabs,
-    dist_pos_vec,
-    dist_exp,
-    dist_function_sup,
-    dist_segment,
     ball_contains,
     reverse_triangle_gap,
 )
@@ -33,8 +29,7 @@ from .verifier import verify_axioms, verify_contraction, AxiomReport, Contractio
 
 __all__ = [
     "MulDistance", "PosVec", "RealVec", "ComplexVec", "SampledPosFunction",
-    "SegmentPoint", "MulBall", "mabs", "dist_pos_vec", "dist_exp",
-    "dist_function_sup", "dist_segment", "ball_contains",
+    "SegmentPoint", "MulBall", "mabs", "ball_contains",
     "reverse_triangle_gap", "SpaceInstance", "SelfMap", "ContractionSpec",
     "SolverReport", "banach_solve", "ball_solve",
     "power_solve", "kannan_solve", "chatterjea_solve", "estimate_lambda",

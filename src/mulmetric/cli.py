@@ -192,8 +192,9 @@ def _verify_expr_dist(args) -> int:
     lo = args.lo if args.lo is not None else -5.0
     hi = args.hi if args.hi is not None else 5.0
     # scalar samples: distinct floats are distinct points
-    candidate = spaces.SpaceInstance(args.expr_dist, compile_expr(args.expr_dist, ("x", "y")),
-                                     lambda rng: rng.uniform(lo, hi), points_equal=operator.eq)
+    candidate = spaces.SpaceInstance(args.expr_dist, lambda rng: rng.uniform(lo, hi),
+                                     dist=compile_expr(args.expr_dist, ("x", "y")),
+                                     points_equal=operator.eq)
     report = verify_axioms(candidate, args.samples, seed=args.seed or 0)
     return _emit_report(report, report.all_ok, args.out)
 

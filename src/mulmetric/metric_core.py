@@ -48,10 +48,6 @@ class MulDistance:
         """The plain distance d = e^rho (may overflow for huge rho)."""
         return math.exp(self.log_value)
 
-    def __mul__(self, other: "MulDistance") -> "MulDistance":
-        # multiplicative product = additive in log domain
-        return MulDistance(self.log_value + other.log_value)
-
 
 # ---------------------------------------------------------------------------
 # point containers
@@ -111,8 +107,8 @@ class Grid(tuple):
 class SampledPosFunction:
     """A positive function on [a, b] represented by samples on a grid.
 
-    The grid must be strictly increasing; two functions are comparable only
-    when sampled on the identical grid.
+    The grid must be strictly increasing; a function space's distance takes
+    only functions sampled on a grid equal to its own.
     """
 
     grid: tuple
@@ -165,10 +161,12 @@ class Chart:
     |phi(x) - phi(y)| * factor / divisor, |.| the L1 or the L-infinity norm.
 
     `phi` maps a point to its chart coordinates (one number for a `scalar`
-    chart, where None is the point itself).  The scale is a factor and a
-    divisor so that ln(a) * gap and gap / 3 keep their closed forms bit for
-    bit.  `dist` gives rho of two points as a MulDistance (a DomainError for anything phi
-    cannot read), `rho` of two arrays of chart coordinates (last axis: one point's coordinates).
+    chart, where None is the point itself) and raises for any point outside
+    the space: it alone decides what a point of the space is.  The scale is a
+    factor and a divisor so that ln(a) * gap and gap / 3 keep their closed
+    forms bit for bit.  `dist` gives rho of two points as a MulDistance (a
+    DomainError for anything phi cannot read), `rho` of two arrays of chart
+    coordinates (last axis: one point's coordinates).
     """
 
     phi: Optional[Callable] = None
@@ -193,8 +191,6 @@ class Chart:
                     r = abs(x - y) if phi is None else abs(phi(x) - phi(y))
                 else:
                     a, b = phi(x), phi(y)
-                    if len(a) != len(b):
-                        raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
                     r = (float(abs(a - b).max()) if linf
                          else sum(map(abs, map(operator.sub, a, b))))
             except (AttributeError, ValueError, TypeError):
@@ -215,44 +211,16 @@ def _segment_log(p) -> float:
     # the two segments unrolled into one line: ln u on {(u, 1)}, -ln v on {(1, v)};
     # |ln u - ln u'| + |ln v - ln v'| is then one absolute difference
     if not isinstance(p, SegmentPoint):
-        raise DomainError("dist_segment requires SegmentPoint operands")
+        raise DomainError(f"not a SegmentPoint: {p!r}")
     return math.log(p.u) - math.log(p.v)
 
 
-#: |.|* on R_+ (float points) and d* on R_+^n (PosVec points): L1 in log coordinates
+#: |.|* on R_+ (float points): L1 in log coordinates
 POS_CHART = Chart(math.log, scalar=True)
-D_STAR_CHART = Chart(lambda x: tuple(map(math.log, x.coords)))
 #: d_e on R: |x - y|
 LINE_CHART = Chart(scalar=True)
 #: the cube-root product metric on the two unit-anchored segments
 SEGMENT_CHART = Chart(_segment_log, divisor=3.0, scalar=True)
-#: the sup metric on sampled positive functions: max pointwise ratio gap
-SUP_CHART = Chart(lambda f: f._log_values, norm="linf")
-
-
-def exp_chart(base: float) -> Chart:
-    """d_a = a^(sum |x_i - y_i|) on R^n or C^n (RealVec or ComplexVec): L1, scaled by ln a."""
-    if not (1 < base < math.inf):
-        raise DomainError(f"base must be finite and exceed 1, got {base}")
-    return Chart(operator.attrgetter("coords"), factor=math.log(base))
-
-
-#: d* (the product-of-ratios metric) and the segment metric on two points
-dist_pos_vec = D_STAR_CHART.dist
-dist_segment = SEGMENT_CHART.dist
-
-
-def dist_exp(x, y, base: float) -> MulDistance:
-    """Exponential metric base^(sum |x_i - y_i|) on R^n or C^n (moduli)."""
-    return exp_chart(base).dist(x, y)
-
-
-def dist_function_sup(f: SampledPosFunction, g: SampledPosFunction) -> MulDistance:
-    """Sup metric on sampled positive functions: max pointwise ratio gap."""
-    rho = SUP_CHART.dist(f, g)  # a DomainError for anything but two sampled functions
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise ShapeError("functions must be sampled on the identical grid")
-    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from . import metric_core as mc
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, ShapeError
 from .metric_core import (
     Chart,
     ComplexVec,
@@ -37,7 +37,9 @@ SamplerFn = Callable[[random.Random], Point]
 class SpaceInstance:
     """A named multiplicative metric space.
 
-    A space whose distance is a chart's also has `draws`, the rng.random()
+    A chart space gives its `chart`, whose distance is then `dist` (None fills
+    it in); only a chartless space, such as a candidate distance under test,
+    gives `dist` itself.  A chart space also has `draws`, the rng.random()
     calls `sample` makes per point, and `decode`, which maps such draws, shape
     (..., draws), to the chart coordinates of the points built from them.
     `points_equal` tells distinct points apart when the distance alone cannot
@@ -46,12 +48,16 @@ class SpaceInstance:
     """
 
     name: str
-    dist: DistFn
     sample: SamplerFn
     chart: Optional[Chart] = None
     draws: int = 0
     decode: Optional[Callable] = None
+    dist: Optional[DistFn] = None
     points_equal: Optional[Callable[[Point, Point], bool]] = None
+
+    def __post_init__(self):
+        if self.dist is None:
+            object.__setattr__(self, "dist", self.chart.dist)
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,23 @@ def _log_uniform(lo: float, hi: float) -> tuple[float, float]:
     return a, math.log(hi) - a
 
 
+def _vector_phi(n: int, coord: Optional[Callable] = None) -> Callable:
+    """phi of an n-dimensional vector space: a point's coordinates, each mapped by
+    coord when given; a ShapeError for a point of another dimension."""
+
+    def phi(x):
+        c = x.coords
+        if len(c) != n:
+            raise ShapeError(f"expected a point of dimension {n}, got {len(c)}")
+        return c if coord is None else tuple(map(coord, c))
+
+    return phi
+
+
 def positive_reals(lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:
     """(R_+, |.|*): scalar positive reals under the multiplicative absolute value."""
     log_lo, width = _log_uniform(lo, hi)
-    return SpaceInstance("pos-reals", mc.POS_CHART.dist,
-                         lambda rng: math.exp(log_lo + width * rng.random()),
+    return SpaceInstance("pos-reals", lambda rng: math.exp(log_lo + width * rng.random()),
                          mc.POS_CHART, 1, lambda u: log_lo + width * u)
 
 
@@ -100,8 +118,9 @@ def positive_interval(lo: float, hi: float) -> SpaceInstance:
             raise DomainError(f"point outside [{lo}, {hi}]: {x!r}")
         return log_x
 
-    chart = Chart(log_member, scalar=True)
-    return replace(sp, name=f"pos-interval[{lo},{hi}]", dist=chart.dist, chart=chart)
+    # dist=None: the distance is the new chart's, not the one copied from sp
+    return replace(sp, name=f"pos-interval[{lo},{hi}]", chart=Chart(log_member, scalar=True),
+                   dist=None)
 
 
 def positive_vectors(n: int) -> SpaceInstance:
@@ -114,72 +133,74 @@ def positive_vectors(n: int) -> SpaceInstance:
         draw = rng.random
         return PosVec(tuple([math.exp(log_lo + width * draw()) for _ in range(n)]))
 
-    return SpaceInstance(f"pos-vec-{n}", mc.D_STAR_CHART.dist, sample, mc.D_STAR_CHART, n,
+    return SpaceInstance(f"pos-vec-{n}", sample, Chart(_vector_phi(n, math.log)), n,
                          lambda u: log_lo + width * u)
 
 
 def exp_metric(n: int, base: float, complex_coords: bool = False) -> SpaceInstance:
     """(R^n or C^n, d_a): the metric base^(sum |x_i - y_i|), parts sampled on [-10, 10]."""
-    chart, lo, hi = mc.exp_chart(base), -10.0, 10.0
+    if not (1 < base < math.inf):
+        raise DomainError(f"base must be finite and exceed 1, got {base}")
     if n < 1:
         raise DomainError("dimension must be >= 1")
+    chart, lo, hi = Chart(_vector_phi(n), factor=math.log(base)), -10.0, 10.0
 
     if complex_coords:
         def sample(rng: random.Random) -> ComplexVec:
             return ComplexVec(tuple(complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
                                     for _ in range(n)))
         # the draws alternate real and imaginary parts
-        return SpaceInstance(f"exp-metric-C{n}(a={base})", chart.dist, sample, chart, 2 * n,
+        return SpaceInstance(f"exp-metric-C{n}(a={base})", sample, chart, 2 * n,
                              lambda u: (lo + (hi - lo) * u).view(complex))
 
     def sample(rng: random.Random) -> RealVec:
         return RealVec(tuple(rng.uniform(lo, hi) for _ in range(n)))
 
-    return SpaceInstance(f"exp-metric-R{n}(a={base})", chart.dist, sample, chart, n,
+    return SpaceInstance(f"exp-metric-R{n}(a={base})", sample, chart, n,
                          lambda u: lo + (hi - lo) * u)
 
 
 def real_line_exp() -> SpaceInstance:
     """(R, d_e): scalar reals with d(x,y) = e^|x-y| (log gap = |x-y|), sampled on [-10, 10]."""
     lo, width = -10.0, 20.0
-    return SpaceInstance("real-line-exp", mc.LINE_CHART.dist,
-                         lambda rng: lo + width * rng.random(),
+    return SpaceInstance("real-line-exp", lambda rng: lo + width * rng.random(),
                          mc.LINE_CHART, 1, lambda u: lo + width * u)
 
 
 def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
     """Pair space with the product metric d1 * d2 (rho1 + rho2); points are 2-tuples.
 
-    When both factors have unscaled scalar charts, the two chart coordinates
-    under L1 are the pair's chart, which then gives its distance.
+    The factors' charts must be L1 charts of one scale (factor and divisor): the
+    pair's chart is then their coordinates concatenated, at that scale.  Any
+    other pair of factors is an InputError.
     """
-    name = f"product({s1.name},{s2.name})"
+    name, c1, c2 = f"product({s1.name},{s2.name})", s1.chart, s2.chart
+    if not (c1 and c2 and c1.norm == c2.norm == "l1"
+            and (c1.factor, c1.divisor) == (c2.factor, c2.divisor)):
+        raise InputError(f"no chart for {name}: the factors need L1 charts of one scale")
+    phi1, phi2 = map(_coord_tuple, (c1, c2))
+
+    def phi(p):
+        p1, p2 = p if isinstance(p, tuple) else ()  # a ValueError for anything but a pair
+        return (*phi1(p1), *phi2(p2))
 
     def sample(rng: random.Random):
         return (s1.sample(rng), s2.sample(rng))
 
-    if not all(c is not None and c.scalar and c.factor == c.divisor == 1.0
-               for c in (s1.chart, s2.chart)):
-        def dist(p, q):
-            if not all(isinstance(t, tuple) and len(t) == 2 for t in (p, q)):
-                raise DomainError(f"not points of this space: {p!r}, {q!r}")
-            return s1.dist(p[0], q[0]) * s2.dist(p[1], q[1])
-
-        return SpaceInstance(name, dist, sample)
-    phi1, phi2 = (c.phi or (lambda x: x) for c in (s1.chart, s2.chart))
-
-    def phi(p):
-        p1, p2 = p if isinstance(p, tuple) else ()  # a ValueError for anything but a pair
-        return phi1(p1), phi2(p2)
-
-    chart = Chart(phi)
     k, decode1, decode2 = s1.draws, s1.decode, s2.decode
 
     def decode(u):
         import numpy as np
         return np.concatenate([decode1(u[..., :k]), decode2(u[..., k:])], -1)
 
-    return SpaceInstance(name, chart.dist, sample, chart, k + s2.draws, decode)
+    return SpaceInstance(name, sample, Chart(phi, factor=c1.factor, divisor=c1.divisor),
+                         k + s2.draws, decode)
+
+
+def _coord_tuple(chart: Chart) -> Callable:
+    """The chart's phi as a map to a tuple of coordinates."""
+    phi = chart.phi or (lambda x: x)
+    return (lambda x: (phi(x),)) if chart.scalar else phi
 
 
 def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
@@ -191,6 +212,7 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     import numpy as np
     if not (b > a):
         raise DomainError("need b > a")
+    name = f"func-sup[{a},{b}]x{n_grid}"
     grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
     grid_arr = np.asarray(grid)
     log_lo, width = _log_uniform(0.1, 10.0)
@@ -202,14 +224,18 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
         phase = rng.uniform(0.0, 2 * math.pi)
         return SampledPosFunction(grid, c * np.exp(amp * np.sin(freq * grid_arr + phase)))
 
+    def phi(f):
+        if f.grid is not grid and f.grid != grid:
+            raise ShapeError(f"function not sampled on the grid of {name}")
+        return f._log_values
+
     def decode(u):
         # the sampler's four draws, in log coordinates: ln c + amp * sin(freq * x + phase)
         log_c, amp = log_lo + width * u[..., :1], -1.0 + 2.0 * u[..., 1:2]
         freq, phase = 0.5 + 2.5 * u[..., 2:3], 2 * math.pi * u[..., 3:]
         return log_c + amp * np.sin(freq * grid_arr + phase)
 
-    return SpaceInstance(f"func-sup[{a},{b}]x{n_grid}", mc.dist_function_sup, sample,
-                         mc.SUP_CHART, 4, decode)
+    return SpaceInstance(name, sample, Chart(phi, norm="linf"), 4, decode)
 
 
 def segment_space() -> SpaceInstance:
@@ -226,7 +252,7 @@ def segment_space() -> SpaceInstance:
         log_t = np.log(1.0 + u[..., :1])
         return np.where(u[..., 1:] < 0.5, log_t, -log_t)
 
-    return SpaceInstance("segment", mc.SEGMENT_CHART.dist, sample, mc.SEGMENT_CHART, 2, decode)
+    return SpaceInstance("segment", sample, mc.SEGMENT_CHART, 2, decode)
 
 
 def segment_half_power_map(space: SpaceInstance | None = None) -> SelfMap:

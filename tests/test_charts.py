@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mulmetric import spaces
 from mulmetric.errors import ShapeError
-from mulmetric.metric_core import SampledPosFunction, dist_function_sup
+from mulmetric.metric_core import SampledPosFunction
 from mulmetric.verifier import _Replay, verify_axioms
 
 # every id of spaces.SPACES; d-a both real and complex
@@ -114,17 +114,36 @@ def test_screened_samples_are_confirmed_by_the_scalar_check(slack_log):
 
 
 def test_space_without_a_chart_takes_the_scalar_path():
+    # two L1 charts of one scale: the pair of d-star-2 spaces has the concatenated chart
     space = spaces.product_space(spaces.positive_vectors(2), spaces.positive_vectors(2))
-    assert space.chart is None
+    assert space.chart is not None
     report = verify_axioms(space, 200, seed=1)
     assert report.all_ok and report == scalar_report(space, 200, 1)
+    # a candidate space gives its distance and has no chart (nor decode): the scalar path
+    candidate = spaces.SpaceInstance("candidate", space.sample, dist=space.dist)
+    assert candidate.chart is None and candidate.decode is None
+    assert verify_axioms(candidate, 200, seed=1) == report
+
+
+def build_every_space_id():
+    bounds = {"pos-interval": {"lo": 0.1, "hi": 1.0}}
+    return [spaces.build(space_id, **bounds.get(space_id, {})) for space_id in spaces.SPACES]
 
 
 def test_every_space_id_builds_with_distance_identity():
     # points_equal None: the batched path serves every chart space of the table
-    for space_id in spaces.SPACES:
-        bounds = {"lo": 0.1, "hi": 1.0} if space_id == "pos-interval" else {}
-        assert spaces.build(space_id, **bounds).points_equal is None
+    for space in build_every_space_id():
+        assert space.points_equal is None
+
+
+def test_every_space_id_takes_its_distance_from_its_chart():
+    for space in build_every_space_id():
+        assert space.dist is space.chart.dist
+        # a given distance replaces the chart's (the benchmark's tracer wraps it so),
+        # and dropping the chart (the scalar reference path) keeps the distance
+        wrapped = lambda p, q, dist=space.dist: dist(p, q)
+        assert dataclasses.replace(space, dist=wrapped).dist is wrapped
+        assert dataclasses.replace(space, chart=None).dist is space.dist
 
 
 @pytest.mark.parametrize("space_id, factory", [("segment", "segment_space"),
@@ -143,10 +162,21 @@ def test_function_samples_share_one_checked_grid():
     assert f.grid is g.grid
     # an equal grid built apart still compares; a different grid of the same size does not
     h = SampledPosFunction(tuple(f.grid), f.values)
-    assert dist_function_sup(f, h).log_value == 0.0
+    assert space.dist(f, h).log_value == 0.0
     other = SampledPosFunction(tuple(x + 1.0 for x in f.grid), f.values)
     with pytest.raises(ShapeError):
-        dist_function_sup(f, other)
+        space.dist(f, other)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0), (1.0, 5.0)])
+def test_functions_on_a_grid_built_apart_are_members(lo, hi):
+    # the grid as perfbench's distance check builds it, for each interval its
+    # certify workload verifies; a non-member there reads as a wrong output
+    grid = tuple(lo + (hi - lo) * i / 1023 for i in range(1024))
+    f = SampledPosFunction(grid, tuple(2.0 + math.sin(x) for x in grid))
+    space = spaces.function_space(lo, hi)
+    assert space.dist(f, f).log_value == 0.0
+    assert space.dist(f, space.sample(random.Random(0))).log_value > 0.0
 
 
 def test_chart_distance_keeps_the_formulas():

@@ -95,7 +95,7 @@ class TestEstimateLambda:
         assert lam <= 0.997
 
     def test_all_degenerate(self):
-        single = spaces.SpaceInstance("point", POS.dist, lambda rng: 1.0)
+        single = spaces.SpaceInstance("point", lambda rng: 1.0, dist=POS.dist)
         with pytest.raises(EstimationError):
             estimate_lambda(SelfMap("id", lambda x: x, single), 10, "kannan")
 

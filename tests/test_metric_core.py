@@ -14,14 +14,10 @@ from mulmetric import (
     SampledPosFunction,
     SegmentPoint,
     ball_contains,
-    dist_exp,
-    dist_function_sup,
-    dist_pos_vec,
-    dist_segment,
     mabs,
     reverse_triangle_gap,
 )
-from mulmetric.errors import DomainError, ShapeError
+from mulmetric.errors import DomainError, InputError, ShapeError
 from mulmetric import spaces
 
 positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -40,10 +36,6 @@ class TestMulDistance:
         d = MulDistance.from_value(3.0)
         assert d.value == pytest.approx(3.0)
 
-    def test_product_adds_logs(self):
-        d = MulDistance(math.log(2)) * MulDistance(math.log(3))
-        assert d.value == pytest.approx(6.0)
-
 
 class TestMabs:
     @pytest.mark.parametrize("a, expected", [(1.0, 1.0), (0.5, 2.0), (3.0, 3.0)])
@@ -61,29 +53,40 @@ class TestMabs:
         assert mabs(a).log_value == abs(math.log(a))
 
 
+def dist_pos_vec(n: int):
+    """d* on R_+^n: the distance of the space of n-vectors."""
+    return spaces.positive_vectors(n).dist
+
+
+def dist_exp(n: int, base: float):
+    """d_a on R^n or C^n: the distance of the space of n-vectors."""
+    return spaces.exp_metric(n, base).dist
+
+
 class TestDistPosVec:
     def test_identity(self):
-        assert dist_pos_vec(PosVec((2, 3)), PosVec((2, 3))).value == 1.0
+        assert dist_pos_vec(2)(PosVec((2, 3)), PosVec((2, 3))).value == 1.0
 
     def test_product_of_ratios(self):
         # |2/1|* . |3/6|* = 2 . 2 = 4
-        assert dist_pos_vec(PosVec((2, 3)), PosVec((1, 6))).value == pytest.approx(4.0, rel=1e-14)
+        d = dist_pos_vec(2)(PosVec((2, 3)), PosVec((1, 6)))
+        assert d.value == pytest.approx(4.0, rel=1e-14)
 
     def test_scalar_case_matches_mabs(self):
-        assert dist_pos_vec(PosVec((0.5,)), PosVec((1,))).value == pytest.approx(2.0, rel=1e-14)
+        assert dist_pos_vec(1)(PosVec((0.5,)), PosVec((1,))).value == pytest.approx(2.0, rel=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            dist_pos_vec(PosVec((1, 2)), PosVec((1, 2, 3)))
+            dist_pos_vec(2)(PosVec((1, 2)), PosVec((1, 2, 3)))
 
     def test_rejects_nonpositive_coords(self):
         with pytest.raises(DomainError):
-            dist_pos_vec(RealVec((1, -2)), PosVec((1, 2)))
+            dist_pos_vec(2)(RealVec((1, -2)), PosVec((1, 2)))
 
     @pytest.mark.parametrize("x", [(2.0, 3.0), [2.0, 3.0], 2.0, ComplexVec((2, 3))])
     def test_rejects_non_vectors(self, x):
         with pytest.raises(DomainError):
-            dist_pos_vec(x, PosVec((2, 3)))
+            dist_pos_vec(2)(x, PosVec((2, 3)))
 
     @given(st.lists(positive, min_size=1, max_size=6),
            st.lists(positive, min_size=1, max_size=6))
@@ -92,34 +95,34 @@ class TestDistPosVec:
         n = min(len(xs), len(ys))
         xs, ys = xs[:n], ys[:n]
         oracle = sum(abs(math.log(a) - math.log(b)) for a, b in zip(xs, ys))
-        assert abs(dist_pos_vec(PosVec(xs), PosVec(ys)).log_value - oracle) <= 1e-12
+        assert abs(dist_pos_vec(n)(PosVec(xs), PosVec(ys)).log_value - oracle) <= 1e-12
 
 
 class TestDistExp:
     def test_real_closed_form(self):
-        assert dist_exp(RealVec((1, 0)), RealVec((0, 0)), base=2).value == pytest.approx(
+        assert dist_exp(2, base=2)(RealVec((1, 0)), RealVec((0, 0))).value == pytest.approx(
             2.0, rel=1e-14)
 
     def test_identity(self):
         x = RealVec((1.5, -2.0))
-        assert dist_exp(x, x, base=math.e).value == 1.0
+        assert dist_exp(2, base=math.e)(x, x).value == 1.0
 
     def test_complex_modulus(self):
-        assert dist_exp(ComplexVec((1j,)), RealVec((0,)), base=2).value == pytest.approx(
+        assert dist_exp(1, base=2)(ComplexVec((1j,)), RealVec((0,))).value == pytest.approx(
             2.0, rel=1e-14)
 
     def test_rejects_base_at_most_one(self):
         with pytest.raises(DomainError):
-            dist_exp(RealVec((1,)), RealVec((0,)), base=1.0)
+            dist_exp(1, base=1.0)(RealVec((1,)), RealVec((0,)))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            dist_exp(RealVec((1, 2)), RealVec((1,)), base=2)
+            dist_exp(2, base=2)(RealVec((1, 2)), RealVec((1,)))
 
     @pytest.mark.parametrize("x", [(1.0, 0.0), 1.0, SegmentPoint(1.0, 2.0)])
     def test_rejects_non_vectors(self, x):
         with pytest.raises(DomainError):
-            dist_exp(x, RealVec((0, 0)), base=2)
+            dist_exp(2, base=2)(x, RealVec((0, 0)))
 
     def test_closed_form_random_pairs(self):
         rng = random.Random(7)
@@ -129,59 +132,68 @@ class TestDistExp:
             x = [rng.uniform(-10, 10) for _ in range(n)]
             y = [rng.uniform(-10, 10) for _ in range(n)]
             expected = math.log(a) * sum(abs(u - v) for u, v in zip(x, y))
-            assert dist_exp(RealVec(x), RealVec(y), a).log_value == expected
+            assert dist_exp(n, a)(RealVec(x), RealVec(y)).log_value == expected
 
 
 class TestDistProduct:
-    @pytest.mark.parametrize("d1, d2, expected", [(1, 1, 1), (2, 3, 6), (4, 1, 4)])
-    def test_products(self, d1, d2, expected):
-        out = MulDistance.from_value(d1) * MulDistance.from_value(d2)
-        assert out.value == pytest.approx(expected, rel=1e-14)
-
     @pytest.mark.parametrize("point", [1.0, (SegmentPoint(1.0, 1.0), 2.0, 3.0)],
                              ids=["float", "3-tuple"])
     def test_chartless_pair_space_rejects_non_pairs(self, point):
-        space = spaces.product_space(spaces.segment_space(), spaces.positive_reals())
-        assert space.chart is None
-        pair = (SegmentPoint(1.0, 1.0), 2.0)
+        # factors of two scales have no common chart: no pair space is built
+        with pytest.raises(InputError, match="no chart"):
+            spaces.product_space(spaces.segment_space(), spaces.positive_reals())
+        space = spaces.product_space(spaces.segment_space(), spaces.segment_space())
+        pair = (SegmentPoint(1.0, 1.0), SegmentPoint(2.0, 1.0))
         assert space.dist(pair, pair).log_value == 0.0
         for p, q in ((point, pair), (pair, point)):
             with pytest.raises(DomainError, match="not points of this space"):
                 space.dist(p, q)
+
+    def test_vector_factors_concatenate_their_coordinates(self):
+        space = spaces.product_space(spaces.positive_vectors(2), spaces.positive_reals())
+        p, q = (PosVec((1.0, 2.0)), 3.0), (PosVec((2.0, 2.0)), 1.5)
+        gaps = [abs(math.log(a) - math.log(b)) for a, b in [(1.0, 2.0), (2.0, 2.0), (3.0, 1.5)]]
+        assert space.dist(p, q).log_value == sum(gaps)
+        with pytest.raises(ShapeError):
+            space.dist((PosVec((1.0, 2.0, 3.0)), 3.0), q)
 
 
 class TestDistFunctionSup:
     def grid_fn(self, fn, a=1.0, b=2.0, n=257):
         return SampledPosFunction.from_callable(fn, a, b, n)
 
+    def dist_function_sup(self, n=257):
+        """The sup metric of function_space(1, 2, n), the space of grid_fn's functions."""
+        return spaces.function_space(1.0, 2.0, n).dist
+
     def test_identity(self):
         f = self.grid_fn(lambda x: x + 1)
-        assert dist_function_sup(f, f).value == 1.0
+        assert self.dist_function_sup()(f, f).value == 1.0
 
     def test_constant_ratio(self):
         f = self.grid_fn(lambda x: 2.0)
         g = self.grid_fn(lambda x: 1.0)
-        assert dist_function_sup(f, g).value == pytest.approx(2.0, rel=1e-14)
+        assert self.dist_function_sup()(f, g).value == pytest.approx(2.0, rel=1e-14)
 
     def test_max_attained_at_right_endpoint(self):
         # |ln x - ln x^2| = ln x on [1, 2], maximal at x = 2
         f = self.grid_fn(lambda x: x)
         g = self.grid_fn(lambda x: x * x)
-        assert dist_function_sup(f, g).value == pytest.approx(2.0, rel=1e-12)
+        assert self.dist_function_sup()(f, g).value == pytest.approx(2.0, rel=1e-12)
 
     def test_grid_mismatch(self):
         f = self.grid_fn(lambda x: x, n=16)
         g = self.grid_fn(lambda x: x, n=17)
         with pytest.raises(ShapeError):
-            dist_function_sup(f, g)
+            self.dist_function_sup(16)(f, g)
 
     @pytest.mark.parametrize("x", [1.0, PosVec((1.0, 2.0))])
     def test_rejects_non_functions(self, x):
         f = self.grid_fn(lambda t: t)
         with pytest.raises(DomainError):
-            dist_function_sup(x, f)
+            self.dist_function_sup()(x, f)
         with pytest.raises(DomainError):
-            dist_function_sup(f, x)
+            self.dist_function_sup()(f, x)
 
     def test_invalid_function(self):
         with pytest.raises(DomainError):
@@ -191,16 +203,18 @@ class TestDistFunctionSup:
 
 
 class TestDistSegment:
+    dist_segment = staticmethod(spaces.segment_space().dist)
+
     def test_identity(self):
         p = SegmentPoint(1, 1)
-        assert dist_segment(p, p).value == 1.0
+        assert self.dist_segment(p, p).value == 1.0
 
     def test_same_segment(self):
-        d = dist_segment(SegmentPoint(2, 1), SegmentPoint(1, 1))
+        d = self.dist_segment(SegmentPoint(2, 1), SegmentPoint(1, 1))
         assert d.value == pytest.approx(2 ** (1 / 3), rel=1e-14)
 
     def test_cross_segment(self):
-        d = dist_segment(SegmentPoint(2, 1), SegmentPoint(1, 2))
+        d = self.dist_segment(SegmentPoint(2, 1), SegmentPoint(1, 2))
         assert d.value == pytest.approx(2 ** (2 / 3), rel=1e-14)
 
     def test_invalid_point(self):
@@ -308,3 +322,20 @@ class TestPositiveInterval:
     def test_rejects_points_outside(self, outside):
         with pytest.raises(DomainError, match=repr(outside)):
             self.SPACE.dist(0.5, outside)
+
+
+class TestMembership:
+    """A chart space's phi decides what a point of the space is."""
+
+    def test_d_star_rejects_points_of_another_dimension(self):
+        with pytest.raises(ShapeError):
+            spaces.positive_vectors(2).dist(PosVec((1, 2, 3)), PosVec((1, 2, 4)))
+
+    def test_d_a_rejects_points_of_another_dimension(self):
+        with pytest.raises(ShapeError):
+            spaces.exp_metric(2, 2.0).dist(RealVec((1, 2, 3)), RealVec((1, 2, 4)))
+
+    def test_func_sup_rejects_functions_on_another_grid(self):
+        g = SampledPosFunction.from_callable(lambda x: x + 1, 0.0, 2.0, 8)
+        with pytest.raises(ShapeError):
+            spaces.function_space(0.0, 1.0, 8).dist(g, g)

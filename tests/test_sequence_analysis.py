@@ -203,7 +203,7 @@ class TestBoundedDiagnostic:
             calls.append(1)
             return POS.dist(a, b)
 
-        counting = spaces.SpaceInstance("counting", dist, POS.sample)
+        counting = spaces.SpaceInstance("counting", POS.sample, dist=dist)
         n = 30
         shapes = {"settled": [3.0] * n,
                   "alternating": [(0.2, 5.0)[k % 2] for k in range(n)],

@@ -19,7 +19,7 @@ def euclid_square_exp(x, y):
 
 def candidate(dist, sample, points_equal=None):
     """A candidate distance on scalar samples, checked on the scalar path."""
-    return SpaceInstance("candidate", dist, sample, points_equal=points_equal)
+    return SpaceInstance("candidate", sample, dist=dist, points_equal=points_equal)
 
 
 def scalar(space):
