@@ -63,7 +63,7 @@ MAP_FNS = {
     "paper-scalar": _paper_scalar_fn,
     "sqrt-toy": math.sqrt,
     "quarter": _quarter_fn,
-    "segment-half-power": None,  # built against the segment space below
+    "segment-half-power": spaces.segment_half_power,
 }
 
 
@@ -73,8 +73,6 @@ def build_space(pd: ProblemDefinition) -> SpaceInstance:
 
 def build_selfmap(pd: ProblemDefinition, space: SpaceInstance | None = None) -> SelfMap:
     space = space or build_space(pd)
-    if pd.map_id == "segment-half-power":
-        return spaces.segment_half_power_map(space)
     if pd.map_id is not None:
         fn = MAP_FNS.get(pd.map_id)
         if fn is None:

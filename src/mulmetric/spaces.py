@@ -71,7 +71,7 @@ class SelfMap:
     def __call__(self, p: Point) -> Point:
         try:
             return self.fn(p)
-        except (ArithmeticError, ValueError, TypeError) as exc:
+        except (ArithmeticError, AttributeError, ValueError, TypeError) as exc:
             raise DomainError(f"map {self.name} is undefined at {p!r}: {exc}") from None
 
 
@@ -255,20 +255,20 @@ def segment_space() -> SpaceInstance:
     return SpaceInstance("segment", sample, mc.SEGMENT_CHART, 2, decode)
 
 
-def segment_half_power_map(space: SpaceInstance | None = None) -> SelfMap:
-    """The swap-and-square-root self-map of the segment space.
+def segment_half_power(p: SegmentPoint) -> SegmentPoint:
+    """The swap-and-square-root map of the segment space.
 
     (u, 1) |-> (1, sqrt(u)) and (1, v) |-> (sqrt(v), 1); its only fixed
     point is (1, 1) and it contracts the segment metric with rate 1/2.
     """
-    space = space or segment_space()
+    if p.v == 1.0:
+        return SegmentPoint(1.0, math.sqrt(p.u))
+    return SegmentPoint(math.sqrt(p.v), 1.0)
 
-    def fn(p: SegmentPoint) -> SegmentPoint:
-        if p.v == 1.0:
-            return SegmentPoint(1.0, math.sqrt(p.u))
-        return SegmentPoint(math.sqrt(p.v), 1.0)
 
-    return SelfMap("segment-half-power", fn, space)
+def segment_half_power_map(space: SpaceInstance | None = None) -> SelfMap:
+    """segment_half_power as a self-map of the segment space."""
+    return SelfMap("segment-half-power", segment_half_power, space or segment_space())
 
 
 #: space id -> factory, given the keywords it takes; each looks its builder up when called

@@ -19,7 +19,8 @@ from .fixed_point import ContractionSpec, contraction_logs
 from .metric_core import POINT_EQ_TOL_LOG, MulDistance
 from .spaces import SelfMap, SpaceInstance
 
-DEFAULT_SLACK_LOG = 1e-10
+#: how far a sampled ln d may miss an axiom or a contraction inequality (rounding)
+SLACK_LOG = 1e-10
 #: bound on |batched rho - scalar rho| / (1 + rho) on a chart space (sums in
 #: another order; numpy's exp, log and sin may differ from math's by an ulp)
 CHART_REL_ERR = 1e-13
@@ -80,24 +81,33 @@ class ContractionReport:
     witness_key: ClassVar[str] = "kind"
 
 
-def _axiom_witnesses(distance, x, y, z, slack_log: float, points_equal) -> list[Witness]:
+def _fails(dxy, dyx, dxz, dyz, dxx, slack):
+    """The five axiom tests on the log distances of a triple (floats) or of a block
+    of triples (arrays): m1 on (x, y), m1 on (x, x), m2, m3 and the reverse
+    inequality, each true where the test fails by more than slack."""
+    return (dxy < -slack, abs(dxx) > slack, abs(dxy - dyx) > slack,
+            dxz > dxy + dyz + slack, abs(dxz - dyz) > dxy + slack)
+
+
+def _axiom_witnesses(distance, x, y, z, points_equal) -> list[Witness]:
     """The witnesses one sampled triple gives, in the order the report lists them."""
     dxy = _log_of(distance(x, y))
     dyx = _log_of(distance(y, x))
     dxz = _log_of(distance(x, z))
     dyz = _log_of(distance(y, z))
     dxx = _log_of(distance(x, x))
+    m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, SLACK_LOG)
     found = []
-    if dxy < -slack_log or (points_equal is not None and dxy <= POINT_EQ_TOL_LOG
-                            and not points_equal(x, y)):
+    if m1 or (points_equal is not None and dxy <= POINT_EQ_TOL_LOG
+              and not points_equal(x, y)):
         found.append(Witness("m1", (x, y), (dxy,)))
-    if abs(dxx) > slack_log:
+    if m1_self:
         found.append(Witness("m1", (x, x), (dxx,)))
-    if abs(dxy - dyx) > slack_log:
+    if m2:
         found.append(Witness("m2", (x, y), (dxy, dyx)))
-    if dxz > dxy + dyz + slack_log:
+    if m3:
         found.append(Witness("m3", (x, y, z), (dxz, dxy, dyz)))
-    if abs(dxz - dyz) > dxy + slack_log:
+    if reverse:
         found.append(Witness("reverse", (x, y, z), (abs(dxz - dyz), dxy)))
     return found
 
@@ -112,8 +122,7 @@ class _Replay(random.Random):
         return next(self._values)
 
 
-def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int,
-                     slack_log: float) -> list[Witness]:
+def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Witness]:
     """verify_axioms on a chart space, a block of samples at a time: the same
     random.Random(seed) stream, the five distances and the axiom tests on chart
     arrays.  A sample within a margin of failing a test (half the slack plus
@@ -130,56 +139,49 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int,
         u = np.fromiter(starmap(draw, repeat((), 3 * k * b)), float, 3 * k * b).reshape(b, 3, k)
         x, y, z = np.moveaxis(space.decode(u), 1, 0)
         dxy, dyx, dxz, dyz, dxx = rho(x, y), rho(y, x), rho(x, z), rho(y, z), rho(x, x)
-        margin = 0.5 * slack_log + CHART_REL_ERR * (5 + dxy + dyx + dxz + dyz + dxx)
-        near = ((dxy < margin - slack_log) | (np.abs(dxx) > slack_log - margin)
-                | (np.abs(dxy - dyx) > slack_log - margin)
-                | (dxz > dxy + dyz + slack_log - margin)
-                | (np.abs(dxz - dyz) > dxy + slack_log - margin))
-        for i in np.flatnonzero(near):
+        margin = 0.5 * SLACK_LOG + CHART_REL_ERR * (5 + dxy + dyx + dxz + dyz + dxx)
+        m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, SLACK_LOG - margin)
+        for i in np.flatnonzero(m1 | m1_self | m2 | m3 | reverse):
             replay = _Replay(u[i].ravel().tolist())
             points = [space.sample(replay) for _ in range(3)]
-            witnesses += _axiom_witnesses(space.dist, *points, slack_log, None)
+            witnesses += _axiom_witnesses(space.dist, *points, None)
     return witnesses
 
 
-def verify_axioms(space: SpaceInstance, n_samples: int, seed: int = 0,
-                  slack_log: float = DEFAULT_SLACK_LOG) -> AxiomReport:
+def verify_axioms(space: SpaceInstance, n_samples: int, seed: int = 0) -> AxiomReport:
     """Sample triples from the space and test m1-m3 and the reverse inequality.
 
     m1 is checked in both directions: d(x, x) must be 1, every sampled pair
     must have d >= 1, and (when the space has a points_equal predicate) a
     distance within the point-equality tolerance between distinct points is
-    flagged.  A pair gets at most one m1 witness.  A chart space whose
-    identity is its distance (points_equal None) is checked in numpy
-    batches, with the same report, unless the slack is so small that the
-    screening margin (at least half the slack plus 5 CHART_REL_ERR) would
-    flag every sample.
+    flagged.  A pair gets at most one m1 witness.  A space with a chart and a
+    decode whose identity is its distance (points_equal None) is checked in
+    numpy batches, with the same report.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    screens = 0.5 * slack_log > CHART_REL_ERR * 5
-    if space.chart is not None and space.points_equal is None and screens:
-        witnesses = _chart_witnesses(space, n_samples, seed, slack_log)
+    if space.chart is not None and space.decode is not None and space.points_equal is None:
+        witnesses = _chart_witnesses(space, n_samples, seed)
     else:
         rng, dist, sample = random.Random(seed), space.dist, space.sample
         witnesses = []
         for _ in range(n_samples):
             x, y, z = sample(rng), sample(rng), sample(rng)
-            witnesses += _axiom_witnesses(dist, x, y, z, slack_log, space.points_equal)
+            witnesses += _axiom_witnesses(dist, x, y, z, space.points_equal)
 
     flagged = {w.axiom for w in witnesses}
     return AxiomReport("m1" not in flagged, "m2" not in flagged, "m3" not in flagged,
-                       "reverse" not in flagged, witnesses, n_samples, seed, slack_log)
+                       "reverse" not in flagged, witnesses, n_samples, seed, SLACK_LOG)
 
 
-def verify_contraction(map_: SelfMap, kind: str, lam: float, n_samples: int, seed: int = 0,
-                       slack_log: float = DEFAULT_SLACK_LOG) -> ContractionReport:
+def verify_contraction(map_: SelfMap, kind: str, lam: float, n_samples: int,
+                       seed: int = 0) -> ContractionReport:
     """Test the kind's contraction inequality on pairs sampled from the map's space."""
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     spec = ContractionSpec(kind, lam)  # checks the kind and the range of lambda
 
-    dist, sample = map_.space.dist, map_.space.sample
+    dist, sample, slack = map_.space.dist, map_.space.sample, SLACK_LOG
     rng = random.Random(seed)
     witnesses: list[Witness] = []
     for _ in range(n_samples):
@@ -187,7 +189,7 @@ def verify_contraction(map_: SelfMap, kind: str, lam: float, n_samples: int, see
         fx, fy = map_(x), map_(y)
         lhs, q = contraction_logs(spec.kind, dist, x, y, fx, fy)
         rhs = spec.lam * q
-        if lhs > rhs + slack_log:
+        if lhs > rhs + slack:
             witnesses.append(Witness(kind, (x, y), (lhs, rhs)))
 
-    return ContractionReport(kind, lam, not witnesses, witnesses, n_samples, seed, slack_log)
+    return ContractionReport(kind, lam, not witnesses, witnesses, n_samples, seed, SLACK_LOG)

@@ -64,7 +64,7 @@ def test_criterion_1_paper_scalar_example():
 
 def test_criterion_2_paper_contraction_certificate():
     m = scalar_map()
-    report = verify_contraction(m, "banach", 0.997, 10**4, seed=2024, slack_log=1e-10)
+    report = verify_contraction(m, "banach", 0.997, 10**4, seed=2024)
     lam_hat, _ = estimate_lambda(m, 10**4, "banach", seed=2024)
     ok = report.condition_ok and lam_hat <= 0.997
     announce(2, ok, f"condition holds on 1e4 pairs; lambda_hat = {lam_hat:.4f} <= 0.997")

@@ -3,6 +3,7 @@ distance, and the batched axiom verifier against the scalar one."""
 
 import dataclasses
 import math
+import os
 import random
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mulmetric import spaces
+from mulmetric import cli, spaces
 from mulmetric.errors import ShapeError
 from mulmetric.metric_core import SampledPosFunction
 from mulmetric.verifier import _Replay, verify_axioms
@@ -78,9 +79,8 @@ def test_batched_rho_matches_scalar_distance(name, seed):
         assert abs(r - scalar) <= 1e-12 * (1 + scalar)
 
 
-def scalar_report(space, n, seed, slack_log=1e-10):
-    return verify_axioms(dataclasses.replace(space, chart=None), n, seed=seed,
-                         slack_log=slack_log)
+def scalar_report(space, n, seed):
+    return verify_axioms(dataclasses.replace(space, chart=None), n, seed=seed)
 
 
 @pytest.mark.parametrize("name", sorted(BUILT))
@@ -92,25 +92,34 @@ def test_batched_report_equals_scalar_report(name, seed):
     assert verify_axioms(space, n, seed=seed) == scalar_report(space, n, seed)
 
 
-@pytest.mark.parametrize("slack_log", [1e-10, 0.0])
-def test_screened_samples_are_confirmed_by_the_scalar_check(slack_log):
-    # on [1, 1 + 1e-11] every ln d lies below the 1e-10 slack, so nothing
-    # fails; with no slack the screen's threshold for |ln d(x, x)| would be
-    # negative and every sample would be rebuilt, so the scalar path runs
-    # (decode is never called), rounding makes some triples fail m3 or the
-    # reverse inequality by an ulp, and those witnesses come out the same
-    space = spaces.positive_interval(1.0, 1.0 + 1e-11)
-    decoded = []
+@pytest.mark.parametrize("space, rebuilt", [
+    (spaces.positive_interval(1.0, 1.0 + 1e-11), 0),
+    (spaces.exp_metric(8, 1e10), 300),
+], ids=["narrow-interval", "d-a-8-base-1e10"])
+def test_screened_samples_are_confirmed_by_the_scalar_check(space, rebuilt):
+    # on [1, 1 + 1e-11] every ln d lies below the slack, so no sample comes near
+    # failing; at base 1e10 the five distances of a sample sum to thousands, the
+    # margin's CHART_REL_ERR per unit of distance exceeds the slack, and every
+    # sample is rebuilt from its draws and checked by the scalar code
+    decoded, sampled = [], []
 
     def decode(u):
         decoded.append(len(u))
         return space.decode(u)
 
-    batched = verify_axioms(dataclasses.replace(space, decode=decode), 400, seed=3,
-                            slack_log=slack_log)
-    assert batched == scalar_report(space, 400, 3, slack_log)
-    assert bool(batched.witnesses) == (slack_log == 0.0)
-    assert bool(decoded) == (slack_log > 0.0)
+    def sample(rng):
+        sampled.append(1)
+        return space.sample(rng)
+
+    batched = verify_axioms(dataclasses.replace(space, decode=decode, sample=sample), 300,
+                            seed=3)
+    assert batched.all_ok and batched == scalar_report(space, 300, 3)
+    assert decoded and len(sampled) == 3 * rebuilt
+
+
+def test_screened_space_passes_on_the_cli():
+    assert cli.main(["verify", "--space", "d-a", "--dim", "8", "--base", "1e10",
+                     "--samples", "300", "--out", os.devnull]) == 0
 
 
 def test_space_without_a_chart_takes_the_scalar_path():
@@ -123,6 +132,10 @@ def test_space_without_a_chart_takes_the_scalar_path():
     candidate = spaces.SpaceInstance("candidate", space.sample, dist=space.dist)
     assert candidate.chart is None and candidate.decode is None
     assert verify_axioms(candidate, 200, seed=1) == report
+    # a chart space without a decode cannot draw in blocks: the scalar path
+    pos_reals = spaces.positive_reals()
+    undecoded = spaces.SpaceInstance("undecoded", pos_reals.sample, pos_reals.chart)
+    assert verify_axioms(undecoded, 200, seed=1) == scalar_report(pos_reals, 200, 1)
 
 
 def build_every_space_id():

@@ -158,6 +158,42 @@ class TestUsageErrors:
         space_id = argv[argv.index("--space") + 1]
         assert capsys.readouterr().err == f"error: space {space_id!r} takes no {flags}\n"
 
+    @pytest.mark.parametrize("argv, first_line", [
+        (["solve", "--problem", "missing.txt"],
+         "error: [Errno 2] No such file or directory: 'missing.txt'"),
+        (["solve", "--problem", "sqrt-toy", "--out", "no-dir/trace.json"],
+         "error: [Errno 2] No such file or directory: 'no-dir/trace.json'"),
+        (["solve", "--problem", "no-equals.txt"], "error: line 2: expected 'key = value'"),
+        (["solve", "--problem", "unknown-space.txt"], "error: unknown space id 'nope'"),
+        (["solve", "--problem", "sqrt-toy", "--tol-log", "0"],
+         "error: tol_log must be positive, got 0.0"),
+        (["estimate", "--problem", "sqrt-toy", "--pairs", "0"], "error: n_pairs must be >= 1"),
+        (["verify", "--problem", "sqrt-toy", "--samples", "0"],
+         "error: n_samples must be >= 1"),
+        (["solve", "--expr", "x/2", "--space", "d-star", "--dim", "1", "--x0", "-1"],
+         "error: coordinates must be strictly positive: (-1.0,)"),
+    ], ids=["missing-problem-file", "out-in-missing-dir", "line-without-equals",
+            "unknown-space-id", "zero-tol-log", "zero-pairs", "zero-samples",
+            "negative-pos-vec"])
+    def test_exit_2_names_the_input(self, argv, first_line, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no-equals.txt").write_text("space_id = pos-reals\nmap_id\n")
+        (tmp_path / "unknown-space.txt").write_text("space_id = nope\nmap_id = sqrt-toy\n")
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--map", "segment-half-power", "--space", "pos-reals", "--x0", "2"],
+        ["verify", "--map", "segment-half-power", "--space", "func-sup", "--samples", "2"],
+        ["estimate", "--map", "segment-half-power", "--space", "real-line-exp", "--pairs", "5"],
+        ["verify", "--map", "segment-half-power", "--space", "product-pos", "--samples", "2"],
+    ], ids=["pos-reals", "func-sup", "real-line-exp", "product-pos"])
+    def test_segment_map_off_its_space_exits_2(self, argv, capsys):
+        assert run([*argv, "--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: map segment-half-power is undefined at")
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_d_star_dim3(self, tmp_path):
