@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--base", type=float)
         p.add_argument("--lo", type=float)
         p.add_argument("--hi", type=float)
-        p.add_argument("--kind", choices=("banach", "kannan", "chatterjea"))
+        p.add_argument("--kind", choices=fp.KINDS)
         p.add_argument("--lambda", dest="lam", type=float)
         p.add_argument("--seed", type=int, help="sampler seed (default: the problem's, else 0)")
         p.add_argument("--out", help="output file (default: stdout)")
@@ -292,10 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MulMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (MulMetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

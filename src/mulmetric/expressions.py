@@ -1,4 +1,4 @@
-"""Tiny closed-form expression language for CLI-supplied maps and distances.
+"""Tiny closed-form expression language for scalar maps and candidate distances.
 
 Deliberately small: arithmetic, powers ('^' or '**'), exp/ln/sqrt/abs, the
 constants e and pi, and the declared variable names.  Anything richer
@@ -11,7 +11,7 @@ import ast
 import math
 from typing import Callable, Sequence
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 _FUNCTIONS = {
     "exp": math.exp,
@@ -31,8 +31,9 @@ _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 
 
 def compile_expr(text: str, variables: Sequence[str] = ("x",)) -> Callable:
-    """Compile the validated tree, constants made floats, once into a function
-    of the given variables; a failing or complex call raises DomainError."""
+    """Compile the validated tree, constants made floats, once into a lambda of the
+    given variables.  A call raises whatever its arithmetic raises and may return a
+    complex value: its caller names the failure, and the space decides what is a point."""
     source = text.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")
@@ -44,24 +45,13 @@ def compile_expr(text: str, variables: Sequence[str] = ("x",)) -> Callable:
         raise InputError(f"cannot parse expression {text!r}: {exc}") from exc
     except (RecursionError, MemoryError, OverflowError) as exc:
         raise InputError(f"expression {text!r} is too deep or too large: {exc!r}") from None
-    code = compile(tree, f"<expr {text}>", "eval")
-    scope = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
-
-    def fn(*args):
-        if len(args) != len(variables):
-            raise InputError(f"expression takes {len(variables)} argument(s)")
-        env = dict(zip(variables, args))
-        try:
-            value = eval(code, scope, env)
-            if isinstance(value, complex):
-                raise ValueError(f"complex result {value!r}")
-        except (ArithmeticError, ValueError, TypeError) as exc:
-            at = ", ".join(f"{k} = {v!r}" for k, v in env.items())
-            raise DomainError(f"expression {text!r} is undefined at {at}: {exc}") from exc
-        return value
-
-    fn.__name__ = f"expr({text})"
-    return fn
+    # the two new kinds of node get their locations by hand: ast.fix_missing_locations
+    # would walk the whole tree again
+    args = [ast.arg(v, lineno=1, col_offset=0) for v in variables]
+    tree.body = ast.Lambda(ast.arguments([], args, None, [], [], None, []), tree.body,
+                           lineno=1, col_offset=0)
+    return eval(compile(tree, f"<expr {text}>", "eval"),
+                {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS})
 
 
 def _validate(node: ast.AST, names: set):

@@ -182,13 +182,13 @@ class Chart:
 
     @cached_property
     def dist(self) -> Callable:
-        phi, scalar, linf = self.phi, self.scalar, self.norm == "linf"
+        phi, scalar, linf, fabs = self.phi, self.scalar, self.norm == "linf", math.fabs
         factor, divisor, unit = self.factor, self.divisor, self.factor == self.divisor == 1.0
 
         def dist(x, y) -> MulDistance:
             try:
-                if scalar:
-                    r = abs(x - y) if phi is None else abs(phi(x) - phi(y))
+                if scalar:  # fabs: a TypeError for a complex or an array point
+                    r = fabs(x - y) if phi is None else fabs(phi(x) - phi(y))
                 else:
                     a, b = phi(x), phi(y)
                     r = (float(abs(a - b).max()) if linf

@@ -51,18 +51,11 @@ class ProblemDefinition:
 # ---------------------------------------------------------------------------
 # named maps
 
-def _paper_scalar_fn(x: float) -> float:
-    return math.exp(x - 1.0 - x**3 / 10.0)
-
-
-def _quarter_fn(x: float) -> float:
-    return x / 4.0
-
-
+#: map id -> function; the scalar maps are expression text, compiled once at import
 MAP_FNS = {
-    "paper-scalar": _paper_scalar_fn,
-    "sqrt-toy": math.sqrt,
-    "quarter": _quarter_fn,
+    "paper-scalar": compile_expr("exp(x - 1 - x^3/10)"),
+    "sqrt-toy": compile_expr("sqrt(x)"),
+    "quarter": compile_expr("x/4"),
     "segment-half-power": spaces.segment_half_power,
 }
 
@@ -156,10 +149,9 @@ def parse_problem(text: str) -> ProblemDefinition:
         if key not in known:
             raise InputError(f"unknown problem key {key!r}")
         kwargs[key] = parse_value(key, value)
-    try:
-        return ProblemDefinition(**kwargs)
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
+    if "space_id" not in kwargs:
+        raise InputError("problem file has no space_id")
+    return ProblemDefinition(**kwargs)
 
 
 # ---------------------------------------------------------------------------

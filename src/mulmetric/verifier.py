@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import repeat, starmap
 from typing import ClassVar
 
-from .errors import InputError
+from .errors import DomainError, InputError
 from .fixed_point import ContractionSpec, contraction_logs
 from .metric_core import POINT_EQ_TOL_LOG, MulDistance
 from .spaces import SelfMap, SpaceInstance
@@ -34,11 +34,11 @@ def _log_of(d) -> float:
     Accepts a MulDistance or a plain value d (the candidate need not be a
     valid multiplicative metric, so plain values below 1 are allowed and
     map to negative logs, and values d <= 0 to -inf, which the m1 check
-    then flags).
+    then flags); a NaN or complex value is an InputError.
     """
     if isinstance(d, MulDistance):
         return d.log_value
-    if math.isnan(d):
+    if isinstance(d, complex) or math.isnan(d):
         raise InputError(f"candidate distance returned an undefined value: {d}")
     return math.log(d) if d > 0 else -math.inf
 
@@ -167,7 +167,11 @@ def verify_axioms(space: SpaceInstance, n_samples: int, seed: int = 0) -> AxiomR
         witnesses = []
         for _ in range(n_samples):
             x, y, z = sample(rng), sample(rng), sample(rng)
-            witnesses += _axiom_witnesses(dist, x, y, z, space.points_equal)
+            try:
+                witnesses += _axiom_witnesses(dist, x, y, z, space.points_equal)
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                raise DomainError(f"distance {space.name} is undefined at {(x, y, z)!r}: "
+                                  f"{exc}") from None
 
     flagged = {w.axiom for w in witnesses}
     return AxiomReport("m1" not in flagged, "m2" not in flagged, "m3" not in flagged,

@@ -172,13 +172,38 @@ class TestUsageErrors:
          "error: n_samples must be >= 1"),
         (["solve", "--expr", "x/2", "--space", "d-star", "--dim", "1", "--x0", "-1"],
          "error: coordinates must be strictly positive: (-1.0,)"),
+        (["verify", "--space", "pos-interval"], "error: pos-interval needs lo and hi"),
+        (["verify", "--space", "d-a", "--dim", "0"], "error: dimension must be >= 1"),
+        (["verify", "--space", "func-sup", "--lo", "1", "--hi", "0"], "error: need b > a"),
+        (["verify", "--space", "nope"], "error: unknown space id 'nope'"),
+        (["solve", "--map", "nope"], "error: unknown map id 'nope'"),
+        (["solve", "--problem", "unknown-kind.txt"], "error: unknown contraction kind 'foo'"),
+        (["solve", "--problem", "no-space.txt"], "error: problem file has no space_id"),
+        (["verify", "--expr-dist", "1e308*10-1e308*10"],
+         "error: candidate distance returned an undefined value: nan"),
+        (["solve", "--expr", "exp(x)", "--x0", "1000"],
+         "error: map expr(exp(x)) is undefined at 1000.0: math range error"),
+        # the first sample, seed 0: x then y, on [-5, 5]; d(y, x) is complex
+        (["verify", "--expr-dist", "(x-y)^0.5"],
+         "error: candidate distance returned an undefined value: "
+         f"{(2.5795440294030243 - 3.4442185152504816) ** 0.5}"),
+        (["verify", "--expr-dist", "exp(1000*abs(x-y))"],
+         "error: distance exp(1000*abs(x-y)) is undefined at (3.4442185152504816, "
+         "2.5795440294030243, -0.79428419169155): math range error"),
     ], ids=["missing-problem-file", "out-in-missing-dir", "line-without-equals",
             "unknown-space-id", "zero-tol-log", "zero-pairs", "zero-samples",
-            "negative-pos-vec"])
+            "negative-pos-vec", "pos-interval-without-bounds", "zero-dim-d-a",
+            "empty-func-sup-interval", "unknown-space-flag", "unknown-map-id",
+            "unknown-kind", "no-space-id", "nan-distance", "map-overflow",
+            "complex-distance", "distance-overflow"])
     def test_exit_2_names_the_input(self, argv, first_line, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-equals.txt").write_text("space_id = pos-reals\nmap_id\n")
         (tmp_path / "unknown-space.txt").write_text("space_id = nope\nmap_id = sqrt-toy\n")
+        (tmp_path / "unknown-kind.txt").write_text(
+            "# comment and blank lines are skipped\n\nspace_id = pos-reals\n"
+            "map_id = sqrt-toy  # the registry's\n\nkind = foo\n")
+        (tmp_path / "no-space.txt").write_text("map_id = sqrt-toy\n")
         assert run(argv) == 2
         assert capsys.readouterr().err.splitlines()[0] == first_line
 
@@ -463,8 +488,12 @@ class TestOnePointForm:
         ["verify", "--expr", "1", "--space", "func-sup", "--samples", "2"],
         ["estimate", "--expr", "1", "--space", "func-sup", "--pairs", "2"],
         ["solve", "--expr", "x+x", "--space", "product-pos", "--x0", "1,2"],
+        ["solve", "--expr", "x^0.5", "--space", "real-line-exp", "--x0", "-4"],
+        ["verify", "--expr", "x^0.5", "--space", "real-line-exp", "--samples", "5"],
+        ["estimate", "--expr", "x^0.5", "--space", "real-line-exp", "--pairs", "5"],
     ], ids=["d-a-2", "d-star-1", "d-star-1-start", "func-sup-verify", "func-sup-estimate",
-            "product-pos-4-tuple"])
+            "product-pos-4-tuple", "real-line-exp-complex-solve",
+            "real-line-exp-complex-verify", "real-line-exp-complex-estimate"])
     def test_non_points_exit_2(self, argv, capsys):
         assert run([*argv, "--out", os.devnull]) == 2
         err = capsys.readouterr().err
