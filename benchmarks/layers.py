@@ -21,11 +21,12 @@ this working tree:
 - `sequence_analysis`: `bounded_diagnostic_us` and `cauchy_diagnostic_us`, one
   call each on a pos-reals sequence of n = 50, 200 and 800 terms;
 - `cli`: `examples_us`, one in-process `cli.main(["examples"])` call (argument
-  parsing and the registry listing); `write_us_per_step` and
-  `write_us_per_witness`, `cli._write_json` to os.devnull on a seeded solve
-  trace and a seeded `verify --expr-dist` report divided by their steps and
-  witnesses, and `dumps_us_per_step` / `dumps_us_per_witness`, json.dumps
-  with indent=2 on the same payloads;
+  parsing and the registry listing); `main_us_per_step` and
+  `main_us_per_witness`, one whole in-process `cli.main` call with `--out`
+  for a seeded solve trace and a seeded `verify --expr-dist` report (the
+  solve or the verification included) divided by their steps and witnesses,
+  and `dumps_us_per_step` / `dumps_us_per_witness`, json.dumps with indent=2
+  on the JSON those calls wrote, read back;
 - `calibration`: the median of 21 runs of perfbench's calibration kernel
   (`calib.time_kernel`) in the same probe, in milliseconds: a layer figure
   divided by its side's `kernel_ms` reads speed-normalised;
@@ -72,7 +73,7 @@ PROBLEM_SAMPLES = 2000
 # run inside the measured tree: prints one JSON object of per-space and
 # per-problem timings
 PROBE = r"""
-import contextlib, io, json, math, os, random, statistics, sys, time
+import contextlib, io, json, math, os, random, statistics, sys, tempfile, time
 from mulmetric import cli, fixed_point, registry, sequence_analysis, spaces
 from mulmetric.verifier import verify_axioms
 from perfbench import calib
@@ -144,20 +145,20 @@ for n in (50, 200, 800):
             lambda: sequence_analysis.bounded_diagnostic(seq, pos)),
         "cauchy_diagnostic_us": adaptive_us(
             lambda: sequence_analysis.cauchy_diagnostic(seq, pos, 1e-3))}
-captured = []
-write_json, cli._write_json = cli._write_json, lambda payload, _out: captured.append(payload)
-for name, unit, key, argv in [
-        ("trace", "step", "steps",
-         ["solve", "--expr", "2*x^0.95", "--lambda", "0.95", "--x0", "30"]),
-        ("report", "witness", "witnesses",
-         ["verify", "--expr-dist", "e^((x-y)^2)", "--samples", "1000", "--seed", "1"])]:
-    cli.main(argv)
-    payload = captured.pop()
-    count = len(payload[key])
-    out["cli"][name] = {
-        f"write_us_per_{unit}": best_s(lambda: write_json(payload, os.devnull)) / count * 1e6,
-        f"dumps_us_per_{unit}": best_s(lambda: json.dumps(payload, indent=2)) / count * 1e6}
-cli._write_json = write_json
+with tempfile.TemporaryDirectory() as tmp:
+    for name, unit, key, argv in [
+            ("trace", "step", "steps",
+             ["solve", "--expr", "2*x^0.95", "--lambda", "0.95", "--x0", "30"]),
+            ("report", "witness", "witnesses",
+             ["verify", "--expr-dist", "e^((x-y)^2)", "--samples", "1000", "--seed", "1"])]:
+        argv = [*argv, "--out", os.path.join(tmp, name + ".json")]
+        main_s = best_s(lambda: cli.main(argv))
+        with open(argv[-1]) as fh:
+            payload = json.load(fh)
+        count = len(payload[key])
+        out["cli"][name] = {
+            f"main_us_per_{unit}": main_s / count * 1e6,
+            f"dumps_us_per_{unit}": best_s(lambda: json.dumps(payload, indent=2)) / count * 1e6}
 out["cli"]["examples"] = {"examples_us": adaptive_us(lambda: cli_run(["examples"]))}
 print(json.dumps(out))
 """

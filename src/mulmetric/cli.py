@@ -27,111 +27,76 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_REFUTED = 4
 
 
-def _encode_value(v):
-    # scalar witness points are written as bare numbers, trace points as lists
-    return v if isinstance(v, (int, float)) else reg.encode_point(v)
+def _array(xs, indent: str) -> str:
+    """`json.dumps(list(xs), indent=2)` at this indent, for numbers and nested lists
+    of them: a list of floats is one C-level join of `float.__repr__`, and ints,
+    bools, NaN and the infinities follow json's rules."""
+    if not xs:
+        return "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    try:
+        body = sep.join(map(float.__repr__, xs))
+    except TypeError:  # ints, bools or the nested lists of an encoded pair
+        body = "n"
+    if "n" in body:  # not all floats, or a nan or an infinity among them
+        body = sep.join([_array(x, inner) if isinstance(x, list) else json.dumps(x) for x in xs])
+    return f"[\n{inner}{body}\n{indent}]"
 
 
-def trace_to_dict(report: fp.SolverReport) -> dict:
-    return {
-        "steps": [
-            {
-                "n": s.n,
-                "point": reg.encode_point(s.point),
-                "step_log": s.step_log,
-                "apriori_log": s.apriori_log,
-                "aposteriori_log": s.aposteriori_log,
-            }
-            for s in report.trace
-        ],
-        "footer": {
-            "fixed_point": reg.encode_point(report.fixed_point),
-            "residual_log": report.residual_log,
-            "iterations": report.iterations,
-            "converged": report.converged,
-        },
-    }
+def _float(x: float) -> str:
+    """One float as json writes it."""
+    text = float.__repr__(x)
+    return text if "n" not in text else json.dumps(x)
 
 
-def report_to_dict(report) -> dict:
-    """Encode a verifier report by walking its dataclass fields in order."""
-    out = {}
+#: a trace at depth 0 and one of its steps at depth 2
+_TRACE = ('{\n  "steps": %s,\n  "footer": {\n    "fixed_point": %s,\n    "residual_log": %s,\n'
+          '    "iterations": %d,\n    "converged": %s\n  }\n}')
+_STEP = ('{\n      "n": %d,\n      "point": %s,\n      "step_log": %s,\n'
+         '      "apriori_log": %s,\n      "aposteriori_log": %s\n    }')
+#: a witness at depth 2, one failed test of a report: its key, axiom or kind, points, values
+_FAILURE = '{\n      %s: %s,\n      "points": %s,\n      "values": %s\n    }'
+
+
+def _items(items: list[str]) -> str:
+    """A list of objects at depth 1, each already written at depth 2."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def trace_json(report: fp.SolverReport) -> str:
+    """A solver report as JSON: its steps (each point as `registry.encode_point`
+    gives it) and a footer, byte for byte what `json.dumps(indent=2)` writes."""
+    steps = [_STEP % (s.n, _array(reg.encode_point(s.point), "      "), _float(s.step_log),
+                      _float(s.apriori_log), _float(s.aposteriori_log))
+             for s in report.trace]
+    return _TRACE % (_items(steps), _array(reg.encode_point(report.fixed_point), "    "),
+                     _float(report.residual_log), report.iterations,
+                     json.dumps(report.converged))
+
+
+def report_json(report) -> str:
+    """A verifier report as JSON: its dataclass fields in order, each under its
+    metadata key if it has one, and each witness under the report's witness key
+    with its int and float points as bare numbers and any other point as
+    `registry.encode_point` gives it; byte for byte what `json.dumps(indent=2)`
+    writes."""
+    key, lines = _escape(report.witness_key), []
     for f in dataclasses.fields(report):
         value = getattr(report, f.name)
         if f.name == "witnesses":
-            value = [{report.witness_key: w.axiom,
-                      "points": [_encode_value(p) for p in w.points],
-                      "values": list(w.values)}
-                     for w in value]
-        out[f.metadata.get("key", f.name)] = value
-    return out
+            value = _items([_FAILURE % (
+                key, json.dumps(w.axiom),
+                _array([p if isinstance(p, (int, float)) else reg.encode_point(p)
+                        for p in w.points], "      "),
+                _array(w.values, "      ")) for w in value])
+        else:
+            value = json.dumps(value)
+        lines.append(f'  {_escape(f.metadata.get("key", f.name))}: {value}')
+    return "{\n" + ",\n".join(lines) + "\n}"
 
 
-#: a report witness at its depth (indent 4): key, axiom, points, values
-_WITNESS = ('{\n      %s: %s,\n      "points": [\n        %s\n      ],\n'
-            '      "values": [\n        %s\n      ]\n    }')
-
-
-def _witness(w, indent: str) -> str | None:
-    """`_text(w, indent)` in one format string for a report witness with
-    non-empty lists of finite floats as points and values, the bulk of a
-    refuted report; None for any other item."""
-    if indent != "    " or type(w) is not dict or len(w) != 3:
-        return None
-    (key, axiom), (p, points), (q, values) = w.items()
-    sep = ",\n        "
-    try:
-        xs, ys = sep.join(map(float.__repr__, points)), sep.join(map(float.__repr__, values))
-    except TypeError:  # not lists of floats
-        return None
-    if (p, q) != ("points", "values") or type(axiom) is not str or not (xs and ys) \
-            or "n" in xs or "n" in ys:
-        return None
-    return _WITNESS % (_escape(key), _escape(axiom), xs, ys)
-
-
-def _text(v, indent: str = "") -> str:
-    """`json.dumps(v, indent=2)` byte for byte, for JSON values with string keys.
-
-    The indent makes json.dumps use its pure-Python encoder; here a list of
-    plain floats is one C-level join of `float.__repr__`, strings and keys go
-    through json's own C escaper, a report witness of scalar points is one
-    format string, and NaN, infinities, bools, None and float subclasses are
-    left to json.dumps itself.
-    """
-    t = type(v)
-    if t is list or t is tuple:
-        if not v:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        try:
-            body = sep.join(map(float.__repr__, v))
-        except TypeError:  # not all floats
-            body = "n"
-        if "n" in body:
-            body = sep.join([_witness(x, inner) or _text(x, inner) for x in v])
-        return f"[\n{inner}{body}\n{indent}]"
-    if t is dict:
-        if not v:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join([f"{_escape(k)}: {_text(x, inner)}" for k, x in v.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if t is str:
-        return _escape(v)
-    if t is float:
-        text = float.__repr__(v)
-        return json.dumps(v) if "n" in text else text
-    if t is int:
-        return int.__repr__(v)
-    if isinstance(v, (list, tuple, dict)):  # a subclass
-        return _text(dict(v) if isinstance(v, dict) else list(v), indent)
-    return json.dumps(v)
-
-
-def _write_json(payload: dict, out: str | None):
-    text = _text(payload)
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -168,7 +133,7 @@ def cmd_solve(args) -> int:
     x0 = reg.decode_point(pd, pd.x0)
     spec = fp.ContractionSpec(pd.kind, pd.lam)
     report = fp.solve(map_, x0, spec, pd.tol_log, pd.max_iter)
-    _write_json(trace_to_dict(report), args.out)
+    _write(trace_json(report), args.out)
     if not report.converged:
         print(f"no convergence after {report.iterations} iterations "
               f"(residual_log = {report.residual_log:.3e})", file=sys.stderr)
@@ -177,7 +142,7 @@ def cmd_solve(args) -> int:
 
 
 def _emit_report(report, ok: bool, out: str | None) -> int:
-    _write_json(report_to_dict(report), out)
+    _write(report_json(report), out)
     return EXIT_OK if ok else EXIT_REFUTED
 
 

@@ -98,7 +98,7 @@ class Grid(tuple):
         grid = super().__new__(cls, map(float, abscissae))
         if len(grid) < 2:
             raise ShapeError("grid must contain at least two abscissae")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if not all(b > a for a, b in zip(grid, grid[1:])):  # false for NaN too
             raise DomainError("grid must be strictly increasing")
         return grid
 
@@ -195,7 +195,10 @@ class Chart:
                          else sum(map(abs, map(operator.sub, a, b))))
             except (AttributeError, ValueError, TypeError):
                 raise DomainError(f"not points of this space: {x!r}, {y!r}") from None
-            return MulDistance(r if unit else r * factor / divisor)
+            try:
+                return MulDistance(r if unit else r * factor / divisor)
+            except DomainError:  # a NaN gap: inf - inf, or a NaN point
+                raise DomainError(f"not points of this space: {x!r}, {y!r}") from None
 
         return dist
 

@@ -84,11 +84,14 @@ def _log_uniform(lo: float, hi: float) -> tuple[float, float]:
     return a, math.log(hi) - a
 
 
-def _vector_phi(n: int, coord: Optional[Callable] = None) -> Callable:
-    """phi of an n-dimensional vector space: a point's coordinates, each mapped by
-    coord when given; a ShapeError for a point of another dimension."""
+def _vector_phi(n: int, point: type, coord: Optional[Callable] = None) -> Callable:
+    """phi of an n-dimensional space of `point` vectors: a point's coordinates, each
+    mapped by coord when given; a TypeError for another type of point, a ShapeError
+    for a point of another dimension."""
 
     def phi(x):
+        if not isinstance(x, point):
+            raise TypeError(f"not a {point.__name__}: {x!r}")
         c = x.coords
         if len(c) != n:
             raise ShapeError(f"expected a point of dimension {n}, got {len(c)}")
@@ -133,7 +136,7 @@ def positive_vectors(n: int) -> SpaceInstance:
         draw = rng.random
         return PosVec(tuple([math.exp(log_lo + width * draw()) for _ in range(n)]))
 
-    return SpaceInstance(f"pos-vec-{n}", sample, Chart(_vector_phi(n, math.log)), n,
+    return SpaceInstance(f"pos-vec-{n}", sample, Chart(_vector_phi(n, PosVec, math.log)), n,
                          lambda u: log_lo + width * u)
 
 
@@ -143,7 +146,8 @@ def exp_metric(n: int, base: float, complex_coords: bool = False) -> SpaceInstan
         raise DomainError(f"base must be finite and exceed 1, got {base}")
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    chart, lo, hi = Chart(_vector_phi(n), factor=math.log(base)), -10.0, 10.0
+    point = ComplexVec if complex_coords else RealVec
+    chart, lo, hi = Chart(_vector_phi(n, point), factor=math.log(base)), -10.0, 10.0
 
     if complex_coords:
         def sample(rng: random.Random) -> ComplexVec:

@@ -34,12 +34,13 @@ def _log_of(d) -> float:
     Accepts a MulDistance or a plain value d (the candidate need not be a
     valid multiplicative metric, so plain values below 1 are allowed and
     map to negative logs, and values d <= 0 to -inf, which the m1 check
-    then flags); a NaN or complex value is an InputError.
+    then flags); a NaN or complex value is a ValueError, which
+    verify_axioms names with its sample.
     """
     if isinstance(d, MulDistance):
         return d.log_value
     if isinstance(d, complex) or math.isnan(d):
-        raise InputError(f"candidate distance returned an undefined value: {d}")
+        raise ValueError(f"candidate distance returned an undefined value: {d}")
     return math.log(d) if d > 0 else -math.inf
 
 
@@ -141,7 +142,9 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Wi
         dxy, dyx, dxz, dyz, dxx = rho(x, y), rho(y, x), rho(x, z), rho(y, z), rho(x, x)
         margin = 0.5 * SLACK_LOG + CHART_REL_ERR * (5 + dxy + dyx + dxz + dyz + dxx)
         m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, SLACK_LOG - margin)
-        for i in np.flatnonzero(m1 | m1_self | m2 | m3 | reverse):
+        # a NaN distance fails no test: the scalar check decides its row
+        undefined = ~np.isfinite(dxy + dyx + dxz + dyz + dxx)
+        for i in np.flatnonzero(m1 | m1_self | m2 | m3 | reverse | undefined):
             replay = _Replay(u[i].ravel().tolist())
             points = [space.sample(replay) for _ in range(3)]
             witnesses += _axiom_witnesses(space.dist, *points, None)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulmetric import cli, spaces
-from mulmetric.errors import ShapeError
-from mulmetric.metric_core import SampledPosFunction
+from mulmetric.errors import DomainError, ShapeError
+from mulmetric.metric_core import POS_CHART, Grid, SampledPosFunction
 from mulmetric.verifier import _Replay, verify_axioms
 
 # every id of spaces.SPACES; d-a both real and complex
@@ -136,6 +136,26 @@ def test_space_without_a_chart_takes_the_scalar_path():
     pos_reals = spaces.positive_reals()
     undecoded = spaces.SpaceInstance("undecoded", pos_reals.sample, pos_reals.chart)
     assert verify_axioms(undecoded, 200, seed=1) == scalar_report(pos_reals, 200, 1)
+
+
+def test_a_space_of_nan_points_fails_on_both_paths():
+    # no axiom test flags a NaN distance: the screen sends every row with a
+    # non-finite distance to the scalar check, which raises as the scalar path does
+    space = spaces.SpaceInstance("nan", lambda rng: rng.random() * math.nan, POS_CHART, 1,
+                                 lambda u: u * math.nan)
+    errors = []
+    for sp in (space, dataclasses.replace(space, chart=None)):
+        with pytest.raises(DomainError) as exc:
+            verify_axioms(sp, 5)
+        errors.append(str(exc.value))
+    assert errors == ["not points of this space: nan, nan"] * 2
+
+
+@pytest.mark.parametrize("abscissae", [(math.nan, math.nan), (0.0, math.nan, 1.0),
+                                       (0.0, 1.0, 1.0)])
+def test_grid_is_strictly_increasing(abscissae):
+    with pytest.raises(DomainError, match="grid must be strictly increasing"):
+        Grid(abscissae)
 
 
 def build_every_space_id():

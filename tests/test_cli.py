@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 import mulmetric
 from mulmetric import cli, spaces
+from mulmetric import fixed_point as fp
+from mulmetric.fixed_point import SolverReport, TraceStep
 from mulmetric.metric_core import ComplexVec, PosVec, RealVec, SampledPosFunction, SegmentPoint
 from mulmetric import registry
 from mulmetric.expressions import compile_expr
+from mulmetric.verifier import AxiomReport, ContractionReport, Witness
 from mulmetric.registry import (
     REGISTRY,
     SPACE_IDS,
@@ -98,6 +102,9 @@ class TestSolve:
 BAD_FILE = "bad-lambda.txt"
 
 
+FIRST_TRIPLE = "(3.4442185152504816, 2.5795440294030243, -0.79428419169155)"
+
+
 class TestUsageErrors:
     """Map and input errors exit 2 with one error line, never a traceback."""
 
@@ -179,23 +186,34 @@ class TestUsageErrors:
         (["solve", "--map", "nope"], "error: unknown map id 'nope'"),
         (["solve", "--problem", "unknown-kind.txt"], "error: unknown contraction kind 'foo'"),
         (["solve", "--problem", "no-space.txt"], "error: problem file has no space_id"),
+        # the first sample, seed 0: x, y and z on [-5, 5]
         (["verify", "--expr-dist", "1e308*10-1e308*10"],
-         "error: candidate distance returned an undefined value: nan"),
+         f"error: distance 1e308*10-1e308*10 is undefined at {FIRST_TRIPLE}: "
+         "candidate distance returned an undefined value: nan"),
         (["solve", "--expr", "exp(x)", "--x0", "1000"],
          "error: map expr(exp(x)) is undefined at 1000.0: math range error"),
-        # the first sample, seed 0: x then y, on [-5, 5]; d(y, x) is complex
+        # d(y, x) of the first sample is complex
         (["verify", "--expr-dist", "(x-y)^0.5"],
-         "error: candidate distance returned an undefined value: "
+         f"error: distance (x-y)^0.5 is undefined at {FIRST_TRIPLE}: "
+         "candidate distance returned an undefined value: "
          f"{(2.5795440294030243 - 3.4442185152504816) ** 0.5}"),
         (["verify", "--expr-dist", "exp(1000*abs(x-y))"],
-         "error: distance exp(1000*abs(x-y)) is undefined at (3.4442185152504816, "
-         "2.5795440294030243, -0.79428419169155): math range error"),
+         f"error: distance exp(1000*abs(x-y)) is undefined at {FIRST_TRIPLE}: "
+         "math range error"),
+        (["verify", "--space", "func-sup", "--lo=-inf", "--hi", "0", "--samples", "5"],
+         "error: grid must be strictly increasing"),
+        # f(1e300) overflows to inf, and ln d(inf, inf) is NaN
+        (["solve", "--expr", "x*1e300", "--space", "pos-reals", "--x0", "1e300"],
+         "error: not points of this space: inf, inf"),
+        (["solve", "--expr", "x*1e300", "--space", "pos-reals", "--x0", "nan"],
+         "error: not points of this space: nan, nan"),
     ], ids=["missing-problem-file", "out-in-missing-dir", "line-without-equals",
             "unknown-space-id", "zero-tol-log", "zero-pairs", "zero-samples",
             "negative-pos-vec", "pos-interval-without-bounds", "zero-dim-d-a",
             "empty-func-sup-interval", "unknown-space-flag", "unknown-map-id",
             "unknown-kind", "no-space-id", "nan-distance", "map-overflow",
-            "complex-distance", "distance-overflow"])
+            "complex-distance", "distance-overflow", "nan-grid", "overflowing-iterate",
+            "nan-start"])
     def test_exit_2_names_the_input(self, argv, first_line, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-equals.txt").write_text("space_id = pos-reals\nmap_id\n")
@@ -332,9 +350,74 @@ def test_encode_point_covers_every_point_type():
     assert json.loads(json.dumps(registry.encode_point(f))) == [2.0, 3.0]
 
 
+# The writers' oracle: `cli`'s former dict builders, verbatim.  Each output is
+# exactly what `json.dumps(payload, indent=2)` writes of its dict.
+
+def _encode_value(v):
+    # scalar witness points are written as bare numbers, trace points as lists
+    return v if isinstance(v, (int, float)) else registry.encode_point(v)
+
+
+def trace_to_dict(report: SolverReport) -> dict:
+    return {
+        "steps": [
+            {
+                "n": s.n,
+                "point": registry.encode_point(s.point),
+                "step_log": s.step_log,
+                "apriori_log": s.apriori_log,
+                "aposteriori_log": s.aposteriori_log,
+            }
+            for s in report.trace
+        ],
+        "footer": {
+            "fixed_point": registry.encode_point(report.fixed_point),
+            "residual_log": report.residual_log,
+            "iterations": report.iterations,
+            "converged": report.converged,
+        },
+    }
+
+
+def report_to_dict(report) -> dict:
+    """Encode a verifier report by walking its dataclass fields in order."""
+    out = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if f.name == "witnesses":
+            value = [{report.witness_key: w.axiom,
+                      "points": [_encode_value(p) for p in w.points],
+                      "values": list(w.values)}
+                     for w in value]
+        out[f.metadata.get("key", f.name)] = value
+    return out
+
+
 def dumps2(value) -> str:
-    """The writer's oracle."""
     return json.dumps(value, indent=2)
+
+
+def outcome(write, report):
+    """The text a writer gives for the report, or the type of what it raises."""
+    try:
+        return write(report)
+    except Exception as exc:
+        return type(exc)
+
+
+def written(report):
+    """The writer's text for the report, asserted equal to the oracle's outcome."""
+    if isinstance(report, SolverReport):
+        write, oracle = cli.trace_json, trace_to_dict
+    else:
+        write, oracle = cli.report_json, report_to_dict
+    text = outcome(write, report)
+    assert text == outcome(lambda r: dumps2(oracle(r)), report)
+    return text
+
+
+def axiom_report(*witnesses) -> AxiomReport:
+    return AxiomReport(not witnesses, True, True, True, list(witnesses), 7, 0, 1e-10)
 
 
 POINTS = {
@@ -346,22 +429,20 @@ POINTS = {
     "product-pair": (2.0, (3.0, 4.0)),
     "function": SampledPosFunction((0.0, 0.5, 1.0), (2.0, 3.0, 1e-3)),
 }
-
-JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-               | st.floats().map(np.float64))
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.lists(st.floats(), max_size=4)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-    max_leaves=20)
-# witness-shaped items, which the writer formats through one template at a report's depth
-WITNESS_LISTS = st.lists(st.fixed_dictionaries({
-    "axiom": st.sampled_from(["m1", "m3", "reverse"]) | JSON_LEAVES,
-    "points": st.lists(st.floats(), max_size=3) | JSON_VALUES,
-    "values": st.lists(st.floats(), max_size=3)}), max_size=4)
-REPORTS = st.fixed_dictionaries({"m1_ok": st.booleans(), "witnesses": WITNESS_LISTS,
-                                 "slack_log": st.floats()})
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+COUNTS = st.integers(min_value=0, max_value=2**70)
+TRACE_POINTS = st.sampled_from(list(POINTS.values())) | FLOATS
+WITNESSES = st.lists(st.builds(
+    Witness, st.sampled_from(["m1", "m2", "m3", "reverse"]),
+    st.lists(TRACE_POINTS | st.integers(), max_size=3).map(tuple),
+    st.lists(FLOATS, max_size=3).map(tuple)), max_size=3)
+REPORTS = (
+    st.builds(SolverReport, TRACE_POINTS, FLOATS, COUNTS, st.booleans(), st.lists(
+        st.builds(TraceStep, COUNTS, TRACE_POINTS, FLOATS, FLOATS, FLOATS), max_size=3))
+    | st.builds(AxiomReport, st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+                WITNESSES, COUNTS, st.integers(), FLOATS)
+    | st.builds(ContractionReport, st.sampled_from(fp.KINDS), FLOATS, st.booleans(),
+                WITNESSES, COUNTS, st.integers(), FLOATS))
 
 
 class ListSubclass(list):
@@ -377,15 +458,15 @@ class StrSubclass(str):
 
 
 class TestWriter:
-    """cli._text is json.dumps(v, indent=2) byte for byte."""
+    """cli.trace_json and cli.report_json write what json.dumps(indent=2) writes of
+    the oracle's dicts, or raise what the oracle raises."""
 
     @pytest.mark.parametrize("point", POINTS.values(), ids=POINTS)
     def test_every_point_type(self, point):
-        encoded = registry.encode_point(point)
-        witness = {"axiom": "m3", "points": [cli._encode_value(point)] * 3,
-                   "values": [0.25, 0.5]}
-        for value in (encoded, {"steps": [{"n": 0, "point": encoded}]}, [witness]):
-            assert cli._text(value) == dumps2(value)
+        step = TraceStep(0, point, 0.5, 1.0, 0.25)
+        for report in (SolverReport(point, 0.5, 2, True, [step, step]),
+                       axiom_report(Witness("m3", (point,) * 3, (0.25, 0.5)))):
+            assert isinstance(written(report), str)
 
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf, [1.0, math.nan], [math.inf, 2.0], [[-math.inf]],
@@ -399,7 +480,17 @@ class TestWriter:
         StrSubclass("s"), {StrSubclass("k"): StrSubclass("v")},
     ])
     def test_leaves_and_edge_cases(self, value):
-        assert cli._text(value) == dumps2(value)
+        # the value as a witness's points and values (a container's items); a scalar
+        # also in every other field of both reports, and a float in every float of a trace
+        scalar = not isinstance(value, (list, tuple, dict))
+        items = (value,) if scalar else tuple(value)
+        written(axiom_report(Witness("m3", items, items)))
+        if scalar:
+            written(AxiomReport(*[value] * 4, [], value, value, value, value))
+            written(ContractionReport(value, value, value, [], value, value, value, value))
+        if isinstance(value, float):
+            step = TraceStep(1, value, value, value, value)
+            written(SolverReport(value, value, 1, False, [step]))
 
     @pytest.mark.parametrize("witness", [
         {"axiom": "m3", "points": [1.0, -2.5, 3e-9], "values": [0.5, 0.25]},
@@ -417,13 +508,17 @@ class TestWriter:
         DictSubclass(axiom="m3", points=[1.0], values=[2.0]),
     ])
     def test_witness_shapes(self, witness):
-        for value in ({"witnesses": [witness, witness]}, [[witness]], [witness], witness):
-            assert cli._text(value) == dumps2(value)
+        w = Witness(witness.get("axiom", witness.get("kind")), tuple(witness["points"]),
+                    tuple(witness["values"]))
+        if "kind" in witness:
+            written(ContractionReport(w.axiom, 0.5, False, [w, w], 2, 0, 1e-10))
+        else:
+            written(axiom_report(w, w))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(value=JSON_VALUES | REPORTS)
-    def test_recursive_values(self, value):
-        assert cli._text(value) == dumps2(value)
+    @given(report=REPORTS)
+    def test_reports_match_the_oracle(self, report):
+        assert isinstance(written(report), str)
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "paper-scalar"],
@@ -439,14 +534,19 @@ class TestWriter:
         ["verify", "--expr", "x", "--space", "func-sup", "--samples", "3"],
         ["verify", "--expr", "x", "--space", "product-pos", "--samples", "5"],
     ])
-    def test_seeded_outputs_match_the_oracle(self, argv, tmp_path, monkeypatch):
-        payloads = []
-        write = cli._write_json
-        monkeypatch.setattr(cli, "_write_json",
-                            lambda payload, out: (payloads.append(payload), write(payload, out)))
+    def test_seeded_outputs_match_the_oracle(self, argv, tmp_path, monkeypatch, capsys):
+        reports = []
+        for name in ("trace_json", "report_json"):
+            monkeypatch.setattr(cli, name, lambda r, write=getattr(cli, name):
+                                (reports.append(r), write(r))[1])
         out = tmp_path / "out.json"
         assert run([*argv, "--out", str(out)]) in (0, 3, 4)
-        assert out.read_text() == dumps2(payloads[0]) + "\n"
+        oracle = trace_to_dict if argv[0] == "solve" else report_to_dict
+        assert out.read_text() == dumps2(oracle(reports[0])) + "\n"
+        # without --out, stdout carries the same text
+        capsys.readouterr()
+        assert run(argv) in (0, 3, 4)
+        assert capsys.readouterr().out == out.read_text()
 
 
 def fresh_process(argv, cwd) -> tuple[int, str, str]:
