@@ -89,12 +89,12 @@ class UniquenessProbe:
 def contraction_logs(kind: str, dist: Callable, x, y, fx, fy) -> tuple[float, float]:
     """ln d(fx, fy) and the log quantity lambda multiplies in the kind's
     condition (see the module docstring)."""
-    lhs = dist(fx, fy).log_value
+    lhs = dist(fx, fy)
     if kind == "banach":
-        return lhs, dist(x, y).log_value
+        return lhs, dist(x, y)
     if kind == "kannan":
-        return lhs, dist(fx, x).log_value + dist(fy, y).log_value
-    return lhs, dist(fx, y).log_value + dist(fy, x).log_value
+        return lhs, dist(fx, x) + dist(fy, y)
+    return lhs, dist(fx, y) + dist(fy, x)
 
 
 def apriori_bound(d10_log: float, rate: float, n: int) -> float:
@@ -126,7 +126,7 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
     trace: list[TraceStep] = []
     x, fx = x0, map_(x0)
     for n in range(max_iter + 1):
-        step_log = space.dist(x, fx).log_value  # x first: a start point outside the space is named
+        step_log = space.dist(x, fx)  # x first: a start point outside the space is named
         if n == 0:
             d10_log = apo = step_log
         # bounds on ln d(x_n, z): a-priori from the first step, a-posteriori from the
@@ -143,7 +143,7 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
         if converged:
             return SolverReport(x, step_log, n, True, trace)
         if ball_log_radius is not None:
-            drift = space.dist(fx, ball_center).log_value
+            drift = space.dist(fx, ball_center)
             if drift > ball_log_radius + STEP_CHAIN_SLACK:
                 raise InvariantBreachError(
                     f"iterate {n + 1} left the closed ball: ln d(x, x0) = "
@@ -187,7 +187,7 @@ def ball_solve(map_: SelfMap, x0, epsilon: float, spec: ContractionSpec,
     if not (epsilon > 1):
         raise InputError(f"epsilon must exceed 1, got {epsilon}")
     space = map_.space
-    first_log = space.dist(map_(x0), x0).log_value
+    first_log = space.dist(map_(x0), x0)
     budget = (1.0 - spec.lam) * math.log(epsilon)
     if first_log > budget + STEP_CHAIN_SLACK:
         raise PreconditionError(
@@ -213,7 +213,7 @@ def power_solve(map_: SelfMap, n_power: int, spec: ContractionSpec, x0,
     report = banach_solve(inner, x0, spec, tol_log, max_iter)
     if report.converged:
         z = report.fixed_point
-        f_residual = map_.space.dist(map_(z), z).log_value
+        f_residual = map_.space.dist(map_(z), z)
         if f_residual > tol_log:
             raise InvariantBreachError(
                 f"fixed point of the composition does not fix the map itself: "
@@ -269,7 +269,6 @@ def uniqueness_probe(map_: SelfMap, spec: ContractionSpec, starts: Sequence,
     """
     if len(starts) < 2:
         raise InputError("need at least two starts")
-    space = map_.space
     points, failures = [], []
     for i, x0 in enumerate(starts):
         try:
@@ -281,9 +280,7 @@ def uniqueness_probe(map_: SelfMap, spec: ContractionSpec, starts: Sequence,
             points.append(report.fixed_point)
         else:
             failures.append((i, f"no convergence in {max_iter} iterations"))
-    worst = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            worst = max(worst, space.dist(points[i], points[j]).log_value)
+    worst = max([map_.space.dist(p, q) for i, p in enumerate(points) for q in points[i + 1:]],
+                default=0.0)
     ok = bool(points) and worst <= 2.0 * tol_log
     return UniquenessProbe(points, failures, worst, ok)

@@ -20,21 +20,18 @@ from .errors import DomainError, ShapeError
 #: Two points compare equal when their distance has log_value <= this.
 POINT_EQ_TOL_LOG = 1e-12
 
-_set_frozen = object.__setattr__
 
+class MulDistance(float):
+    """A multiplicative distance d as the float rho = ln d >= 0 itself: arithmetic
+    and comparisons act on rho; `log_value` is rho as a plain float, `value` is d."""
 
-@dataclass(frozen=True, order=True, slots=True, init=False)
-class MulDistance:
-    """A multiplicative distance stored as rho = ln d >= 0."""
+    __slots__ = ()
+    log_value = property(float.__float__)
 
-    log_value: float
-
-    def __init__(self, log_value: float):
-        # hand-written: every distance call builds one, and this is faster
-        # than the generated __init__ plus __post_init__
+    def __new__(cls, log_value: float):
         if not (log_value >= 0.0):
             raise DomainError(f"log_value must be >= 0, got {log_value}")
-        _set_frozen(self, "log_value", log_value)
+        return float.__new__(cls, log_value)
 
     @classmethod
     def from_value(cls, d: float) -> "MulDistance":
@@ -46,7 +43,10 @@ class MulDistance:
     @property
     def value(self) -> float:
         """The plain distance d = e^rho (may overflow for huge rho)."""
-        return math.exp(self.log_value)
+        return math.exp(self)
+
+    def __repr__(self) -> str:
+        return f"MulDistance(log_value={float.__repr__(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,7 @@ class Chart:
     def dist(self) -> Callable:
         phi, scalar, linf, fabs = self.phi, self.scalar, self.norm == "linf", math.fabs
         factor, divisor, unit = self.factor, self.divisor, self.factor == self.divisor == 1.0
+        new = float.__new__  # the gap is checked here, so MulDistance's own check is skipped
 
         def dist(x, y) -> MulDistance:
             try:
@@ -194,11 +195,11 @@ class Chart:
                     r = (float(abs(a - b).max()) if linf
                          else sum(map(abs, map(operator.sub, a, b))))
             except (AttributeError, ValueError, TypeError):
-                raise DomainError(f"not points of this space: {x!r}, {y!r}") from None
-            try:
-                return MulDistance(r if unit else r * factor / divisor)
-            except DomainError:  # a NaN gap: inf - inf, or a NaN point
-                raise DomainError(f"not points of this space: {x!r}, {y!r}") from None
+                r = math.nan
+            r = r if unit else r * factor / divisor
+            if r >= 0.0:  # false for a NaN gap too: inf - inf, or a NaN point
+                return new(MulDistance, r)
+            raise DomainError(f"not points of this space: {x!r}, {y!r}")
 
         return dist
 
@@ -257,7 +258,7 @@ class MulBall:
 
 def ball_contains(ball: MulBall, p, space) -> bool:
     """Membership test in the space's d: d(center, p) < eps (open) or <= eps (closed)."""
-    rho = space.dist(ball.center, p).log_value
+    rho = space.dist(ball.center, p)
     if ball.closed:
         return rho <= ball.log_radius
     return rho < ball.log_radius
@@ -270,6 +271,6 @@ def reverse_triangle_gap(x, y, z, space) -> tuple[MulDistance, MulDistance]:
     every multiplicative metric satisfies lhs <= rhs.
     """
     d = space.dist
-    lhs = MulDistance(abs(d(x, z).log_value - d(y, z).log_value))
+    lhs = MulDistance(abs(d(x, z) - d(y, z)))
     rhs = d(x, y)
     return lhs, rhs

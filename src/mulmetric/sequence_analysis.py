@@ -71,7 +71,7 @@ def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0) -> list:
             pass
     if c is None:
         dist = space.dist
-        return [max([dist(seq[k], seq[j]).log_value for j in range(k + 1, n)])
+        return [max([dist(seq[k], seq[j]) for j in range(k + 1, n)])
                 for k in range(start, n - 1)]
     unit, hi, lo, maxima = chart.factor == chart.divisor == 1.0, c[-1], c[-1], []
     for x in reversed(c[:-1]):
@@ -91,12 +91,12 @@ def convergence_diagnostic(seq: Sequence, limit, space: SpaceInstance,
     start = tail_start(len(seq))
     worst_i, worst = None, -1.0
     for i in range(start, len(seq)):
-        rho = space.dist(seq[i], limit).log_value
+        rho = space.dist(seq[i], limit)
         if rho > worst:
             worst_i, worst = i, rho
     if worst <= tol_log:
         return SeqDiagnostic(True, detail=f"tail max ln d = {worst:.3e} <= {tol_log:.3e}")
-    return SeqDiagnostic(False, worst_i, MulDistance(worst),
+    return SeqDiagnostic(False, worst_i, worst,
                          f"ln d(x_{worst_i}, limit) = {worst:.3e} > {tol_log:.3e}")
 
 
@@ -120,13 +120,13 @@ def cauchy_diagnostic(seq: Sequence, space: SpaceInstance, tol_log: float,
         # the witness is the first pair at the largest value, in the first row holding it
         i = start + maxima.index(max(maxima))
         for j in range(i + 1, len(seq)):
-            rho = space.dist(seq[i], seq[j]).log_value
+            rho = space.dist(seq[i], seq[j])
             if rho > worst:
                 worst, worst_pair = rho, (i, j)
     if worst <= tol_log:
         return SeqDiagnostic(True, detail=f"window max ln d = {worst:.3e} <= {tol_log:.3e}")
     i, j = worst_pair
-    return SeqDiagnostic(False, i, MulDistance(worst),
+    return SeqDiagnostic(False, i, worst,
                          f"ln d(x_{i}, x_{j}) = {worst:.3e} > {tol_log:.3e}")
 
 
@@ -145,7 +145,7 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
         raise InputError("empty sequence")
     ln2 = math.log(2.0)
     n0 = max([k + 1 for k, m in enumerate(_row_maxima(seq, space)) if not m < ln2], default=0)
-    row = [space.dist(x, seq[n0]).log_value for x in seq]
+    row = [space.dist(x, seq[n0]) for x in seq]
     m_log = max([ln2] + row[:n0])
     assert all(r <= m_log + 1e-12 for r in row)
     return BoundReport(center_index=n0, M=math.exp(m_log))
@@ -166,10 +166,10 @@ def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[floa
             return SeqDiagnostic(False, i, mabs(cand / a),
                                  f"element {a} violates the {word} bound {cand}")
     # an empty schedule never looks at the gaps (one may underflow to a DomainError)
-    closest = min([mabs(cand / a).log_value for a in elems]) if len(eps_schedule) else None
+    closest = min([mabs(cand / a) for a in elems]) if len(eps_schedule) else None
     for k, eps in enumerate(eps_schedule):
         if closest >= math.log(eps):
-            return SeqDiagnostic(False, k, MulDistance(closest),
+            return SeqDiagnostic(False, k, closest,
                                  f"no element within multiplicative eps={eps} of {word}={cand}")
     return SeqDiagnostic(True, detail=f"{word} characterization holds for {cand}")
 

@@ -31,15 +31,15 @@ BLOCK_FLOATS = 2**14
 def _log_of(d) -> float:
     """Log-domain value of a candidate distance result.
 
-    Accepts a MulDistance or a plain value d (the candidate need not be a
-    valid multiplicative metric, so plain values below 1 are allowed and
-    map to negative logs, and values d <= 0 to -inf, which the m1 check
-    then flags); a NaN or complex value is a ValueError, which
-    verify_axioms names with its sample.
+    Accepts a MulDistance, which is ln d, or a plain value d (the candidate
+    need not be a multiplicative metric, so values below 1 map to negative
+    logs, and d <= 0 to -inf, which the m1 check flags); a complex value, NaN
+    or +inf (not in R_+) is a ValueError, which verify_axioms names with its
+    sample.
     """
     if isinstance(d, MulDistance):
-        return d.log_value
-    if isinstance(d, complex) or math.isnan(d):
+        return d
+    if isinstance(d, complex) or not d < math.inf:
         raise ValueError(f"candidate distance returned an undefined value: {d}")
     return math.log(d) if d > 0 else -math.inf
 

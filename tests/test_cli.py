@@ -207,13 +207,20 @@ class TestUsageErrors:
          "error: not points of this space: inf, inf"),
         (["solve", "--expr", "x*1e300", "--space", "pos-reals", "--x0", "nan"],
          "error: not points of this space: nan, nan"),
+        # d = inf off the diagonal, and 1 on it: a metric takes values in R_+
+        (["verify", "--expr-dist", "1+abs(x-y)*1e300*1e300", "--samples", "50"],
+         "error: distance 1+abs(x-y)*1e300*1e300 is undefined at "
+         f"{FIRST_TRIPLE}: candidate distance returned an undefined value: inf"),
+        (["verify", "--expr-dist", "0*x+1e300*1e300"],
+         f"error: distance 0*x+1e300*1e300 is undefined at {FIRST_TRIPLE}: "
+         "candidate distance returned an undefined value: inf"),
     ], ids=["missing-problem-file", "out-in-missing-dir", "line-without-equals",
             "unknown-space-id", "zero-tol-log", "zero-pairs", "zero-samples",
             "negative-pos-vec", "pos-interval-without-bounds", "zero-dim-d-a",
             "empty-func-sup-interval", "unknown-space-flag", "unknown-map-id",
             "unknown-kind", "no-space-id", "nan-distance", "map-overflow",
             "complex-distance", "distance-overflow", "nan-grid", "overflowing-iterate",
-            "nan-start"])
+            "nan-start", "infinite-distance", "infinite-diagonal"])
     def test_exit_2_names_the_input(self, argv, first_line, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-equals.txt").write_text("space_id = pos-reals\nmap_id\n")

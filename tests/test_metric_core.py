@@ -36,6 +36,20 @@ class TestMulDistance:
         d = MulDistance.from_value(3.0)
         assert d.value == pytest.approx(3.0)
 
+    def test_boundary_values(self):
+        # d = 1, i.e. rho = 0, is a distance (equal points); NaN is not
+        assert MulDistance.from_value(1.0) == 0.0
+        assert MulDistance(0.0).log_value == 0.0
+        with pytest.raises(DomainError, match="log_value must be >= 0, got nan"):
+            MulDistance(math.nan)
+
+    def test_is_the_float_ln_d(self):
+        d = MulDistance(0.5)
+        assert d == d.log_value == 0.5 and d + 1.0 == 1.5 and d.value == math.exp(0.5)
+        assert repr(d) == "MulDistance(log_value=0.5)"
+        with pytest.raises(AttributeError):
+            d.log_value = 1.0
+
 
 class TestMabs:
     @pytest.mark.parametrize("a, expected", [(1.0, 1.0), (0.5, 2.0), (3.0, 3.0)])
@@ -200,6 +214,12 @@ class TestDistFunctionSup:
             SampledPosFunction((0.0, 1.0), (1.0, -1.0))
         with pytest.raises(DomainError):
             SampledPosFunction((1.0, 0.0), (1.0, 1.0))
+        with pytest.raises(DomainError, match="function values must be strictly positive"):
+            SampledPosFunction((0.0, 1.0), (1.0, 0.0))
+
+    def test_interval_must_not_be_empty(self):
+        with pytest.raises(DomainError, match="need b > a"):
+            spaces.function_space(1.0, 1.0)
 
 
 class TestDistSegment:

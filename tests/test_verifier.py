@@ -101,6 +101,11 @@ class TestVerifyAxioms:
         with pytest.raises(InputError):
             verify_axioms(spaces.positive_reals(), 0)
 
+    @pytest.mark.parametrize("path", [lambda space: space, scalar], ids=["batched", "scalar"])
+    def test_one_sample_is_enough(self, path):
+        report = verify_axioms(path(spaces.positive_reals()), 1, seed=3)
+        assert report.all_ok and report.samples_used == 1
+
 
 class TestVerifyContraction:
     def test_sqrt_banach_half(self):
