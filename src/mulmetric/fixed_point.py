@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
+from operator import add, le, mul, not_, sub, truediv
 from typing import Callable, Sequence
 
 from .errors import (
@@ -34,6 +36,8 @@ DEFAULT_MAX_ITER = 10**6
 
 #: absolute slack for the per-step geometric-decay monitor
 STEP_CHAIN_SLACK = 1e-12
+#: sampled pairs per block of `contraction_blocks`
+PAIR_BLOCK = 256
 
 KINDS = ("banach", "kannan", "chatterjea")
 
@@ -95,6 +99,57 @@ def contraction_logs(kind: str, dist: Callable, x, y, fx, fy) -> tuple[float, fl
     if kind == "kannan":
         return lhs, dist(fx, x) + dist(fy, y)
     return lhs, dist(fx, y) + dist(fy, x)
+
+
+def _columns(map_: SelfMap, kind: str, rng: random.Random, b: int) -> tuple:
+    """b pairs on a scalar chart, an operation at a time over the block: the draws
+    of the pair loop, the map and phi once per point, and the float operations of
+    Chart.dist and contraction_logs in their order, so every value is bit-identical."""
+    chart = map_.space.chart
+    points = list(map(map_.space.sample, repeat(rng, 2 * b)))  # maps draw nothing
+    images = list(map(map_.fn, points))  # an error: the pair loop wraps it as SelfMap does
+    coords, image_coords = (points, images) if chart.phi is None else (
+        list(map(chart.phi, points)), list(map(chart.phi, images)))
+    x, y, fx, fy = coords[0::2], coords[1::2], image_coords[0::2], image_coords[1::2]
+    unit, factor, divisor = chart.factor == chart.divisor == 1.0, chart.factor, chart.divisor
+
+    def dist(p, q):
+        r = map(math.fabs, map(sub, p, q))
+        return list(r if unit else map(truediv, map(mul, r, repeat(factor)), repeat(divisor)))
+
+    lhs = dist(fx, fy)
+    if kind == "banach":
+        q = dist(x, y)
+    else:
+        p, c = (x, y) if kind == "kannan" else (y, x)
+        q = list(map(add, dist(fx, p), dist(fy, c)))
+    if math.isnan(sum(lhs) + sum(q)):  # a NaN gap (gaps are >= 0): the pair loop names it
+        raise ArithmeticError
+    return points[0::2], points[1::2], lhs, q
+
+
+def contraction_blocks(map_: SelfMap, kind: str, n_pairs: int, seed: int):
+    """The n_pairs pairs of random.Random(seed) and both sides of `contraction_logs`, in
+    blocks of at most PAIR_BLOCK: (xs, ys, lhs, q).  A space whose distance is its scalar
+    chart's takes `_columns`; any other (a vector chart, a `dist` wrapped to count calls)
+    and a block whose columns raise take the pair loop, which names the first error."""
+    space, rng = map_.space, random.Random(seed)
+    chart, sample, dist = space.chart, space.sample, space.dist
+    columns = chart is not None and chart.scalar and dist is chart.dist
+
+    def pair():
+        x, y = sample(rng), sample(rng)
+        return (x, y, *contraction_logs(kind, dist, x, y, map_(x), map_(y)))
+
+    for start in range(0, n_pairs, PAIR_BLOCK):
+        b, block = min(PAIR_BLOCK, n_pairs - start), None
+        if columns:
+            state = rng.getstate()
+            try:
+                block = _columns(map_, kind, rng, b)
+            except Exception:  # whatever it is, the pair loop raises it again by name
+                rng.setstate(state)
+        yield block or tuple(zip(*[pair() for _ in range(b)]))
 
 
 def apriori_bound(d10_log: float, rate: float, n: int) -> float:
@@ -241,18 +296,15 @@ def estimate_lambda(map_: SelfMap, n_pairs: int, kind: str = "banach",
         raise InputError("n_pairs must be >= 1")
     if kind not in KINDS:
         raise InputError(f"unknown contraction kind {kind!r}")
-    dist, draw = map_.space.dist, map_.space.sample
-    rng = random.Random(seed)
-    best, witness = None, None
-    for _ in range(n_pairs):
-        x, y = draw(rng), draw(rng)
-        fx, fy = map_(x), map_(y)
-        num, den = contraction_logs(kind, dist, x, y, fx, fy)
-        if den <= 1e-12:
-            continue
-        ratio = num / den
-        if best is None or ratio > best:
-            best, witness = ratio, (x, y)
+    best = witness = None
+    for xs, ys, num, den in contraction_blocks(map_, kind, n_pairs, seed):
+        kept = list(map(not_, map(le, den, repeat(1e-12))))
+        ratios = list(map(truediv, compress(num, kept), compress(den, kept)))
+        # max keeps the first of equal ratios, and a later NaN replaces nothing, as `>`
+        top = max(chain([] if best is None else [best], ratios), default=None)
+        if top is not best:
+            i = list(compress(count(), kept))[ratios.index(top)]
+            best, witness = top, (xs[i], ys[i])
     if best is None:
         raise EstimationError("all sampled pairs were degenerate")
     return best, witness

@@ -208,7 +208,7 @@ def mabs(a: float) -> MulDistance:
     """Multiplicative absolute value: a if a >= 1 else 1/a, as a MulDistance."""
     if not (a > 0):
         raise DomainError(f"mabs requires a > 0, got {a}")
-    return MulDistance(abs(math.log(a)))
+    return float.__new__(MulDistance, abs(math.log(a)))  # |ln a| >= 0: no second check
 
 
 def _segment_log(p) -> float:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat, starmap
+from itertools import compress, count, repeat, starmap
+from operator import add, gt, mul
 from typing import ClassVar
 
 from .errors import DomainError, InputError
-from .fixed_point import ContractionSpec, contraction_logs
+from .fixed_point import ContractionSpec, contraction_blocks
 from .metric_core import POINT_EQ_TOL_LOG, MulDistance
 from .spaces import SelfMap, SpaceInstance
 
@@ -82,12 +83,12 @@ class ContractionReport:
     witness_key: ClassVar[str] = "kind"
 
 
-def _fails(dxy, dyx, dxz, dyz, dxx, slack):
+def _fails(dxy, dyx, dxz, dyz, dxx, m1, m1_self, m2, m3, reverse):
     """The five axiom tests on the log distances of a triple (floats) or of a block
     of triples (arrays): m1 on (x, y), m1 on (x, x), m2, m3 and the reverse
-    inequality, each true where the test fails by more than slack."""
-    return (dxy < -slack, abs(dxx) > slack, abs(dxy - dyx) > slack,
-            dxz > dxy + dyz + slack, abs(dxz - dyz) > dxy + slack)
+    inequality, each true where the test fails by more than its own slack."""
+    return (dxy < -m1, abs(dxx) > m1_self, abs(dxy - dyx) > m2,
+            dxz > dxy + dyz + m3, abs(dxz - dyz) > dxy + reverse)
 
 
 def _axiom_witnesses(distance, x, y, z, points_equal) -> list[Witness]:
@@ -97,7 +98,7 @@ def _axiom_witnesses(distance, x, y, z, points_equal) -> list[Witness]:
     dxz = _log_of(distance(x, z))
     dyz = _log_of(distance(y, z))
     dxx = _log_of(distance(x, x))
-    m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, SLACK_LOG)
+    m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, *[SLACK_LOG] * 5)
     found = []
     if m1 or (points_equal is not None and dxy <= POINT_EQ_TOL_LOG
               and not points_equal(x, y)):
@@ -127,21 +128,28 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Wi
     """verify_axioms on a chart space, a block of samples at a time: the same
     random.Random(seed) stream, the five distances and the axiom tests on chart
     arrays.  A sample within a margin of failing a test (half the slack plus
-    CHART_REL_ERR per distance) is rebuilt from its draws as exact points and
-    checked by the scalar code, which alone writes witnesses.  The space's
-    identity is its distance, so the distinct-points m1 test is vacuous."""
+    CHART_REL_ERR times 1 + ln d for each distance that test reads) is rebuilt
+    from its draws as exact points and checked by the scalar code, which alone
+    writes witnesses.  The space's identity is its distance, so the
+    distinct-points m1 test is vacuous."""
     import numpy as np
     draw, k, rho = random.Random(seed).random, space.draws, space.chart.rho
     width = space.decode(np.zeros(k)).shape[-1]
     block = max(1, BLOCK_FLOATS // (3 * max(k, width)))
     witnesses: list[Witness] = []
+
+    def screen(*read):  # a test's slack less the margin of the distances it reads
+        return 0.5 * SLACK_LOG - CHART_REL_ERR * (len(read) + sum(read))
+
     for start in range(0, n_samples, block):
         b = min(block, n_samples - start)
         u = np.fromiter(starmap(draw, repeat((), 3 * k * b)), float, 3 * k * b).reshape(b, 3, k)
         x, y, z = np.moveaxis(space.decode(u), 1, 0)
         dxy, dyx, dxz, dyz, dxx = rho(x, y), rho(y, x), rho(x, z), rho(y, z), rho(x, x)
-        margin = 0.5 * SLACK_LOG + CHART_REL_ERR * (5 + dxy + dyx + dxz + dyz + dxx)
-        m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, SLACK_LOG - margin)
+        # dxx and dxy - dyx are exactly 0, in rho as in the scalar distance
+        m1, m1_self, m2, m3, reverse = _fails(
+            dxy, dyx, dxz, dyz, dxx, screen(dxy), screen(dxx), screen(abs(dxy - dyx)),
+            screen(dxz, dxy, dyz), screen(dxz, dyz, dxy))
         # a NaN distance fails no test: the scalar check decides its row
         undefined = ~np.isfinite(dxy + dyx + dxz + dyz + dxx)
         for i in np.flatnonzero(m1 | m1_self | m2 | m3 | reverse | undefined):
@@ -188,15 +196,11 @@ def verify_contraction(map_: SelfMap, kind: str, lam: float, n_samples: int,
         raise InputError("n_samples must be >= 1")
     spec = ContractionSpec(kind, lam)  # checks the kind and the range of lambda
 
-    dist, sample, slack = map_.space.dist, map_.space.sample, SLACK_LOG
-    rng = random.Random(seed)
     witnesses: list[Witness] = []
-    for _ in range(n_samples):
-        x, y = sample(rng), sample(rng)
-        fx, fy = map_(x), map_(y)
-        lhs, q = contraction_logs(spec.kind, dist, x, y, fx, fy)
-        rhs = spec.lam * q
-        if lhs > rhs + slack:
-            witnesses.append(Witness(kind, (x, y), (lhs, rhs)))
+    for xs, ys, lhs, q in contraction_blocks(map_, spec.kind, n_samples, seed):
+        rhs = list(map(mul, repeat(spec.lam), q))
+        # a witness's lhs is a MulDistance, as `dist` gives it
+        witnesses += [Witness(kind, (xs[i], ys[i]), (float.__new__(MulDistance, lhs[i]), rhs[i]))
+                      for i in compress(count(), map(gt, lhs, map(add, rhs, repeat(SLACK_LOG))))]
 
     return ContractionReport(kind, lam, not witnesses, witnesses, n_samples, seed, SLACK_LOG)

@@ -92,15 +92,16 @@ def test_batched_report_equals_scalar_report(name, seed):
     assert verify_axioms(space, n, seed=seed) == scalar_report(space, n, seed)
 
 
-@pytest.mark.parametrize("space, rebuilt", [
+@pytest.mark.parametrize("space, most_rebuilt", [
     (spaces.positive_interval(1.0, 1.0 + 1e-11), 0),
-    (spaces.exp_metric(8, 1e10), 300),
+    (spaces.exp_metric(8, 1e10), 14),
 ], ids=["narrow-interval", "d-a-8-base-1e10"])
-def test_screened_samples_are_confirmed_by_the_scalar_check(space, rebuilt):
+def test_screened_samples_are_confirmed_by_the_scalar_check(space, most_rebuilt):
     # on [1, 1 + 1e-11] every ln d lies below the slack, so no sample comes near
-    # failing; at base 1e10 the five distances of a sample sum to thousands, the
-    # margin's CHART_REL_ERR per unit of distance exceeds the slack, and every
-    # sample is rebuilt from its draws and checked by the scalar code
+    # failing; at base 1e10 the five distances of a sample sum to thousands, but
+    # each test's margin grows only with the distances it reads, and dxx and
+    # dxy - dyx are exactly 0: fewer than 5 % of the samples are rebuilt from their
+    # draws and checked by the scalar code
     decoded, sampled = [], []
 
     def decode(u):
@@ -111,10 +112,12 @@ def test_screened_samples_are_confirmed_by_the_scalar_check(space, rebuilt):
         sampled.append(1)
         return space.sample(rng)
 
-    batched = verify_axioms(dataclasses.replace(space, decode=decode, sample=sample), 300,
-                            seed=3)
-    assert batched.all_ok and batched == scalar_report(space, 300, 3)
-    assert decoded and len(sampled) == 3 * rebuilt
+    for seed in (3, 4, 5):
+        decoded.clear(), sampled.clear()
+        batched = verify_axioms(dataclasses.replace(space, decode=decode, sample=sample), 300,
+                                seed=seed)
+        assert batched.all_ok and batched == scalar_report(space, 300, seed)
+        assert decoded and len(sampled) <= 3 * most_rebuilt
 
 
 def test_screened_space_passes_on_the_cli():

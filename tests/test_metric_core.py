@@ -250,6 +250,11 @@ class TestBalls:
             MulBall.open_ball(4.0, 1.0)
         with pytest.raises(DomainError):
             MulBall.open_ball(4.0, 0.5)
+        # the boundary radius 1 (ln eps = 0) is no ball, open or closed
+        with pytest.raises(DomainError, match=r"^radius must exceed 1, got 1\.0$"):
+            MulBall.closed_ball(4.0, 1.0)
+        with pytest.raises(DomainError):
+            MulBall(4.0, 0.0)
 
     def test_interval_example(self):
         # in (R+, |.|*) the ball of radius 2 at 4 is the interval (2, 8)

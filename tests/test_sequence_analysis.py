@@ -372,6 +372,12 @@ class TestMonotoneSubsequence:
         assert idx == sorted(idx)
         assert vals == sorted(vals) or vals == sorted(vals, reverse=True)
 
+    def test_tied_terms(self):
+        # a tie dominates what follows it (a peak) and continues a chain
+        assert monotone_subsequence([2, 2, 2, 1]) == [0, 1, 2, 3]
+        assert monotone_subsequence([1, 1, 1, 2]) == [0, 1, 2, 3]
+        assert monotone_subsequence([2, 2, 1, 2]) == [0, 1, 3]
+
     def test_random_sequences_monotone(self):
         rng = random.Random(9)
         for _ in range(200):
@@ -403,6 +409,10 @@ class TestBwExtract:
         sub = [seq[i] for i in idx]
         assert limit in (1.0, 2.0)
         assert cauchy_diagnostic(sub, POS, tol_log=1e-12).verdict
+
+    def test_tied_terms_are_non_decreasing(self):
+        # the chain 1.0, 1.0, 1.5 is non-decreasing: its limit is the sup
+        assert bw_extract([1.0, 1.0, 1.5], M=2.0) == ([0, 1, 2], 1.5)
 
     def test_bound_violation_rejected(self):
         with pytest.raises(InputError):
