@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import operator
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -156,10 +155,8 @@ def _verify_space(args) -> int:
 def _verify_expr_dist(args) -> int:
     lo = args.lo if args.lo is not None else -5.0
     hi = args.hi if args.hi is not None else 5.0
-    # scalar samples: distinct floats are distinct points
     candidate = spaces.SpaceInstance(args.expr_dist, lambda rng: rng.uniform(lo, hi),
-                                     dist=compile_expr(args.expr_dist, ("x", "y")),
-                                     points_equal=operator.eq)
+                                     dist=compile_expr(args.expr_dist, ("x", "y")))
     report = verify_axioms(candidate, args.samples, seed=args.seed or 0)
     return _emit_report(report, report.all_ok, args.out)
 

@@ -123,7 +123,7 @@ def _columns(map_: SelfMap, kind: str, rng: random.Random, b: int) -> tuple:
     else:
         p, c = (x, y) if kind == "kannan" else (y, x)
         q = list(map(add, dist(fx, p), dist(fy, c)))
-    if math.isnan(sum(lhs) + sum(q)):  # a NaN gap (gaps are >= 0): the pair loop names it
+    if not math.isfinite(sum(lhs) + sum(q)):  # a NaN or infinite gap: the pair loop names it
         raise ArithmeticError
     return points[0::2], points[1::2], lhs, q
 

@@ -124,8 +124,6 @@ class SampledPosFunction:
             raise DomainError("function values must be strictly positive")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", tuple(values.tolist()))
-        # cached log values make the sup metric one vectorized pass
-        object.__setattr__(self, "_log_values", np.log(values))
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, n: int = 1024) -> "SampledPosFunction":
@@ -165,8 +163,8 @@ class Chart:
     the space: it alone decides what a point of the space is.  The scale is a
     factor and a divisor so that ln(a) * gap and gap / 3 keep their closed
     forms bit for bit.  `dist` gives rho of two points as a MulDistance (a
-    DomainError for anything phi cannot read), `rho` of two arrays of chart
-    coordinates (last axis: one point's coordinates).
+    DomainError for anything phi cannot read, or a NaN or infinite gap), `rho`
+    of two arrays of chart coordinates (last axis: one point's coordinates).
     """
 
     phi: Optional[Callable] = None
@@ -184,7 +182,7 @@ class Chart:
     def dist(self) -> Callable:
         phi, scalar, linf, fabs = self.phi, self.scalar, self.norm == "linf", math.fabs
         factor, divisor, unit = self.factor, self.divisor, self.factor == self.divisor == 1.0
-        new = float.__new__  # the gap is checked here, so MulDistance's own check is skipped
+        new, inf = float.__new__, math.inf  # the gap is checked here, not by MulDistance
 
         def dist(x, y) -> MulDistance:
             try:
@@ -197,7 +195,7 @@ class Chart:
             except (AttributeError, ValueError, TypeError):
                 r = math.nan
             r = r if unit else r * factor / divisor
-            if r >= 0.0:  # false for a NaN gap too: inf - inf, or a NaN point
+            if r < inf:  # a gap is >= 0: false only for a NaN or infinite one
                 return new(MulDistance, r)
             raise DomainError(f"not points of this space: {x!r}, {y!r}")
 

@@ -42,9 +42,6 @@ class SpaceInstance:
     gives `dist` itself.  A chart space also has `draws`, the rng.random()
     calls `sample` makes per point, and `decode`, which maps such draws, shape
     (..., draws), to the chart coordinates of the points built from them.
-    `points_equal` tells distinct points apart when the distance alone cannot
-    (a candidate distance under test); None means the space's identity is its
-    distance.
     """
 
     name: str
@@ -53,7 +50,6 @@ class SpaceInstance:
     draws: int = 0
     decode: Optional[Callable] = None
     dist: Optional[DistFn] = None
-    points_equal: Optional[Callable[[Point, Point], bool]] = None
 
     def __post_init__(self):
         if self.dist is None:
@@ -231,7 +227,7 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     def phi(f):
         if f.grid is not grid and f.grid != grid:
             raise ShapeError(f"function not sampled on the grid of {name}")
-        return f._log_values
+        return np.log(f.values)
 
     def decode(u):
         # the sampler's four draws, in log coordinates: ln c + amp * sin(freq * x + phase)

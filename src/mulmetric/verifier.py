@@ -91,8 +91,9 @@ def _fails(dxy, dyx, dxz, dyz, dxx, m1, m1_self, m2, m3, reverse):
             dxz > dxy + dyz + m3, abs(dxz - dyz) > dxy + reverse)
 
 
-def _axiom_witnesses(distance, x, y, z, points_equal) -> list[Witness]:
-    """The witnesses one sampled triple gives, in the order the report lists them."""
+def _axiom_witnesses(distance, x, y, z, chartless) -> list[Witness]:
+    """The witnesses one sampled triple gives, in the order the report lists them.
+    A chart space's identity is its distance; a chartless candidate's is `==`."""
     dxy = _log_of(distance(x, y))
     dyx = _log_of(distance(y, x))
     dxz = _log_of(distance(x, z))
@@ -100,8 +101,7 @@ def _axiom_witnesses(distance, x, y, z, points_equal) -> list[Witness]:
     dxx = _log_of(distance(x, x))
     m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, *[SLACK_LOG] * 5)
     found = []
-    if m1 or (points_equal is not None and dxy <= POINT_EQ_TOL_LOG
-              and not points_equal(x, y)):
+    if m1 or (chartless and dxy <= POINT_EQ_TOL_LOG and x != y):
         found.append(Witness("m1", (x, y), (dxy,)))
     if m1_self:
         found.append(Witness("m1", (x, x), (dxx,)))
@@ -130,8 +130,7 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Wi
     arrays.  A sample within a margin of failing a test (half the slack plus
     CHART_REL_ERR times 1 + ln d for each distance that test reads) is rebuilt
     from its draws as exact points and checked by the scalar code, which alone
-    writes witnesses.  The space's identity is its distance, so the
-    distinct-points m1 test is vacuous."""
+    writes witnesses."""
     import numpy as np
     draw, k, rho = random.Random(seed).random, space.draws, space.chart.rho
     width = space.decode(np.zeros(k)).shape[-1]
@@ -155,7 +154,7 @@ def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Wi
         for i in np.flatnonzero(m1 | m1_self | m2 | m3 | reverse | undefined):
             replay = _Replay(u[i].ravel().tolist())
             points = [space.sample(replay) for _ in range(3)]
-            witnesses += _axiom_witnesses(space.dist, *points, None)
+            witnesses += _axiom_witnesses(space.dist, *points, False)
     return witnesses
 
 
@@ -163,23 +162,22 @@ def verify_axioms(space: SpaceInstance, n_samples: int, seed: int = 0) -> AxiomR
     """Sample triples from the space and test m1-m3 and the reverse inequality.
 
     m1 is checked in both directions: d(x, x) must be 1, every sampled pair
-    must have d >= 1, and (when the space has a points_equal predicate) a
-    distance within the point-equality tolerance between distinct points is
-    flagged.  A pair gets at most one m1 witness.  A space with a chart and a
-    decode whose identity is its distance (points_equal None) is checked in
-    numpy batches, with the same report.
+    must have d >= 1, and on a chartless space (a candidate distance under
+    test) a distance within the point-equality tolerance between points that
+    are not `==` is flagged.  A pair gets at most one m1 witness.  A space with
+    a chart and a decode is checked in numpy batches, with the same report.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    if space.chart is not None and space.decode is not None and space.points_equal is None:
+    if space.chart is not None and space.decode is not None:
         witnesses = _chart_witnesses(space, n_samples, seed)
     else:
         rng, dist, sample = random.Random(seed), space.dist, space.sample
-        witnesses = []
+        chartless, witnesses = space.chart is None, []
         for _ in range(n_samples):
             x, y, z = sample(rng), sample(rng), sample(rng)
             try:
-                witnesses += _axiom_witnesses(dist, x, y, z, space.points_equal)
+                witnesses += _axiom_witnesses(dist, x, y, z, chartless)
             except (ArithmeticError, ValueError, TypeError) as exc:
                 raise DomainError(f"distance {space.name} is undefined at {(x, y, z)!r}: "
                                   f"{exc}") from None

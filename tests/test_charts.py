@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mulmetric import cli, spaces
 from mulmetric.errors import DomainError, ShapeError
-from mulmetric.metric_core import POS_CHART, Grid, SampledPosFunction
+from mulmetric.metric_core import POS_CHART, Grid, SampledPosFunction, SegmentPoint
 from mulmetric.verifier import _Replay, verify_axioms
 
 # every id of spaces.SPACES; d-a both real and complex
@@ -66,6 +66,15 @@ def test_draws_decode_to_the_sampled_points(name, seed):
         assert np.all(np.abs(c - want) <= 1e-13 * (1 + np.abs(want)))
 
 
+def test_the_half_draw_picks_one_segment_in_sample_and_decode():
+    # draws in [0, 0.5) pick {(u, 1)}: exactly half of rng.random()'s values; 0.5 itself
+    # picks {(1, v)}, in the sampler as in decode
+    space = BUILT["segment"]
+    assert space.sample(_Replay([0.25, 0.5])) == SegmentPoint(1.0, 1.25)
+    assert space.sample(_Replay([0.25, math.nextafter(0.5, 0)])) == SegmentPoint(1.25, 1.0)
+    assert space.decode(np.array([0.25, 0.5])).tolist() == [-math.log(1.25)]
+
+
 @pytest.mark.parametrize("name", sorted(BUILT))
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(seed=SEEDS)
@@ -80,7 +89,9 @@ def test_batched_rho_matches_scalar_distance(name, seed):
 
 
 def scalar_report(space, n, seed):
-    return verify_axioms(dataclasses.replace(space, chart=None), n, seed=seed)
+    """The scalar path's report: the space without its decode keeps its chart, whose
+    distance is its identity (a chartless copy would tell points apart by `==`)."""
+    return verify_axioms(dataclasses.replace(space, decode=None), n, seed=seed)
 
 
 @pytest.mark.parametrize("name", sorted(BUILT))
@@ -166,10 +177,32 @@ def build_every_space_id():
     return [spaces.build(space_id, **bounds.get(space_id, {})) for space_id in spaces.SPACES]
 
 
-def test_every_space_id_builds_with_distance_identity():
-    # points_equal None: the batched path serves every chart space of the table
+def test_every_space_id_has_a_chart_and_a_decode():
+    # the batched path serves every space of the table
     for space in build_every_space_id():
-        assert space.points_equal is None
+        assert space.chart is not None and space.decode is not None
+
+
+def test_a_chart_space_tells_points_apart_by_its_distance():
+    # on [1, 1 + 1e-11] distinct floats lie within 1e-12 in ln d: the chart's identity
+    # is its distance, so the charted scalar path flags nothing; the chartless copy
+    # tells the points apart by `==` and flags m1
+    space = spaces.positive_interval(1.0, 1.0 + 1e-11)
+    assert verify_axioms(dataclasses.replace(space, decode=None), 50, seed=1).all_ok
+    chartless = verify_axioms(dataclasses.replace(space, chart=None), 50, seed=1)
+    assert not chartless.m1_ok
+    assert all(w.axiom == "m1" and w.points[0] != w.points[1] for w in chartless.witnesses)
+
+
+def test_a_function_point_holds_its_grid_and_values_only():
+    space = spaces.function_space(0.0, 1.0, n_grid=64)
+    rng = random.Random(2)
+    for _ in range(5):
+        f, g = space.sample(rng), space.sample(rng)
+        assert set(vars(f)) == {"grid", "values"}
+        # the distance is the sup of |ln f - ln g| on the grid, bit for bit
+        log_f, log_g = (np.log(np.asarray(h.values, dtype=float)) for h in (f, g))
+        assert space.dist(f, g).log_value == float(np.abs(log_f - log_g).max())
 
 
 def test_every_space_id_takes_its_distance_from_its_chart():

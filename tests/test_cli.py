@@ -202,9 +202,16 @@ class TestUsageErrors:
          "math range error"),
         (["verify", "--space", "func-sup", "--lo=-inf", "--hi", "0", "--samples", "5"],
          "error: grid must be strictly increasing"),
-        # f(1e300) overflows to inf, and ln d(inf, inf) is NaN
+        # f(1e300) overflows to inf, which is no point of pos-reals
         (["solve", "--expr", "x*1e300", "--space", "pos-reals", "--x0", "1e300"],
-         "error: not points of this space: inf, inf"),
+         "error: not points of this space: 1e+300, inf"),
+        # the first pair with an image past 1.8e308 (seed 1: the second pair)
+        (["verify", "--expr", "x*1e307", "--space", "pos-reals", "--kind", "kannan",
+          "--lambda", "0.4", "--samples", "3", "--seed", "1"],
+         "error: not points of this space: 3.447124558091777e+305, inf"),
+        (["estimate", "--expr", "x*1e307", "--space", "pos-reals", "--kind", "kannan",
+          "--pairs", "3", "--seed", "1"],
+         "error: not points of this space: 3.447124558091777e+305, inf"),
         (["solve", "--expr", "x*1e300", "--space", "pos-reals", "--x0", "nan"],
          "error: not points of this space: nan, nan"),
         # d = inf off the diagonal, and 1 on it: a metric takes values in R_+
@@ -220,7 +227,8 @@ class TestUsageErrors:
             "empty-func-sup-interval", "unknown-space-flag", "unknown-map-id",
             "unknown-kind", "no-space-id", "nan-distance", "map-overflow",
             "complex-distance", "distance-overflow", "nan-grid", "overflowing-iterate",
-            "nan-start", "infinite-distance", "infinite-diagonal"])
+            "infinite-image-verify", "infinite-image-estimate", "nan-start",
+            "infinite-distance", "infinite-diagonal"])
     def test_exit_2_names_the_input(self, argv, first_line, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-equals.txt").write_text("space_id = pos-reals\nmap_id\n")

@@ -2,7 +2,6 @@
 replaced: `verify_contraction` and `estimate_lambda` on a scalar chart space give
 the same reports, constants, witnesses and errors, bit for bit."""
 
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulmetric import fixed_point, spaces
-from mulmetric.errors import EstimationError
+from mulmetric.errors import DomainError, EstimationError
 from mulmetric.expressions import compile_expr
 from mulmetric.fixed_point import PAIR_BLOCK, contraction_logs, estimate_lambda
 from mulmetric.metric_core import LINE_CHART, SegmentPoint
@@ -123,7 +122,7 @@ def test_segment_maps_agree(name, kind_lam, n, seed):
 
 @pytest.mark.parametrize("space_id, text", [
     ("real-line-exp", "ln(x+9)"),   # the map raises where x < -9
-    ("pos-reals", "x*1e307"),       # inf where x > 17.9; a pair of two is a NaN gap
+    ("pos-reals", "x*1e307"),       # inf where x > 17.9: no point of the space
     ("pos-reals", "sqrt(x-0.05)"),  # the map raises where x < 0.05
 ])
 @pytest.mark.parametrize("kind", sorted(LAMBDAS))
@@ -172,23 +171,17 @@ def test_degenerate_pairs_are_skipped_on_both_paths():
             estimate_lambda(map_, 50, "banach", 2)
 
 
-def test_a_nan_ratio_replaces_no_best(monkeypatch):
-    # kannan: a pair with one infinite image has lhs = q = inf, a NaN ratio; it is the
-    # estimate only as the first ratio, and never replaces a best after that
-    monkeypatch.setattr(fixed_point, "PAIR_BLOCK", 2)
-
-    def blow_up(*points):  # the sampler hands out the points in turn
-        turn = itertools.cycle(points)
-        space = SpaceInstance("scripted", lambda rng: next(turn), LINE_CHART, 1)
-        return SelfMap("blow-up", lambda x: math.inf if x > 9.5 else x / 4, space)
-
-    # ratios 1/15, 1/9, then a block that opens with the NaN and holds the best, 1/3
-    later = blow_up(1.0, 1.5, 1.0, 2.0, 9.8, 1.0, 1.0, -1.0)
-    assert estimate_lambda(later, 4, "kannan") == (1 / 3, (1.0, -1.0))
-    assert_paths_agree(later, "kannan", 0.3, 4, 0)
-    first = blow_up(9.8, 1.0, 1.0, -1.0)
-    assert repr(estimate_lambda(first, 2, "kannan")) == "(nan, (9.8, 1.0))"
-    assert_paths_agree(first, "kannan", 0.3, 2, 0)
+def test_an_infinite_image_is_the_same_error_on_both_paths():
+    # +inf is no point of the line: a pair with one infinite image is the DomainError
+    # that names it, in the column pass as in the pair loop, so no ratio is NaN
+    space = spaces.real_line_exp()
+    map_ = SelfMap("blow-up", lambda x: math.inf if x > 9.5 else x / 4, space)
+    for kind, lam in (("banach", 0.5), ("kannan", 0.3), ("chatterjea", 0.3)):
+        for seed in range(3):
+            assert_paths_agree(map_, kind, lam, PAIR_BLOCK, seed)
+            error, text = outcome(estimate_lambda, map_, PAIR_BLOCK, kind, seed)
+            assert error is DomainError and text.startswith("not points of this space: ")
+            assert "inf" in text
 
 
 def test_a_violation_by_exactly_the_slack_is_no_witness():

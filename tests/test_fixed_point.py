@@ -314,6 +314,17 @@ class TestBallSolve:
         # the fixed point sits on the closed-ball boundary: d(4, 1) = 4
         assert POS.dist(report.fixed_point, 4.0).log_value <= math.log(4.0) + 1e-12
 
+    def test_precondition_and_drift_at_the_slack_accepted(self):
+        # lambda = 0 and a constant map c: ln d(fx0, x0) = c = (1 - lambda) ln eps + slack,
+        # which is also the drift of the first iterate from x0 against ln eps + slack
+        spec, budget = ContractionSpec("banach", 0.0), math.log(2.0) + STEP_CHAIN_SLACK
+        const = SelfMap("const", lambda x: budget, spaces.real_line_exp())
+        report = ball_solve(const, 0.0, 2.0, spec)
+        assert report.converged and report.fixed_point == budget
+        beyond = SelfMap("const", lambda x: math.nextafter(budget, math.inf), const.space)
+        with pytest.raises(PreconditionError):
+            ball_solve(beyond, 0.0, 2.0, spec)
+
     def test_precondition_rejected(self):
         # d(f64, 64) = 8 exceeds 2^(1/2)
         with pytest.raises(PreconditionError) as exc:
@@ -346,6 +357,14 @@ class TestPowerSolve:
         z = report.fixed_point
         assert (z.u, z.v) == pytest.approx((1.0, 1.0), abs=1e-12)
         assert report.residual_log <= 1e-13
+
+    def test_residual_at_the_tolerance_accepted(self):
+        # f = -x: f^2 is the identity, fixed at x0 = 2^-31, and ln d(fz, z) = 2^-30 = tol
+        neg = SelfMap("neg", lambda x: -x, spaces.real_line_exp())
+        report = power_solve(neg, 2, BANACH_HALF, 2.0**-31, tol_log=2.0**-30)
+        assert report.converged and report.residual_log == 2.0**-30
+        with pytest.raises(InvariantBreachError, match="does not fix the map itself"):
+            power_solve(neg, 2, BANACH_HALF, 2.0**-31, tol_log=math.nextafter(2.0**-30, 0))
 
     def test_n_power_validation(self):
         with pytest.raises(InputError):

@@ -96,6 +96,8 @@ class TestDistPosVec:
     def test_rejects_nonpositive_coords(self):
         with pytest.raises(DomainError):
             dist_pos_vec(2)(RealVec((1, -2)), PosVec((1, 2)))
+        with pytest.raises(DomainError, match="strictly positive"):
+            PosVec((1.0, 0.0))
 
     @pytest.mark.parametrize("x", [(2.0, 3.0), [2.0, 3.0], 2.0, ComplexVec((2, 3))])
     def test_rejects_non_vectors(self, x):
@@ -246,7 +248,7 @@ class TestDistSegment:
 
 class TestBalls:
     def test_radius_must_exceed_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^radius must exceed 1, got 1\.0$"):
             MulBall.open_ball(4.0, 1.0)
         with pytest.raises(DomainError):
             MulBall.open_ball(4.0, 0.5)

@@ -345,6 +345,11 @@ class TestSupInfCharacterization:
         assert check_supremum(A, 2.0, [2.0 ** (1.0 / N) * 1.001]).verdict
         assert not check_supremum(A, 2.0, [2.0 ** (1.0 / N) * 0.999]).verdict
 
+    def test_sup_exactly_eps_away_is_not_approached(self):
+        # d(2, 1) = 2 = eps: no element lies strictly within eps of the candidate
+        diag = check_supremum([1.0], 2.0, [2.0])
+        assert not diag.verdict and diag.witness_index == 0
+
     def test_inf_in_set(self):
         assert check_infimum([1, 2, 3], 1.0, [1.5]).verdict
 

@@ -1,15 +1,14 @@
 import dataclasses
 import itertools
 import math
-import operator
 
 import pytest
 
 from mulmetric import spaces
 from mulmetric.errors import InputError
-from mulmetric.metric_core import PosVec
+from mulmetric.metric_core import MulDistance, PosVec
 from mulmetric.spaces import SelfMap, SpaceInstance
-from mulmetric.verifier import verify_axioms, verify_contraction
+from mulmetric.verifier import SLACK_LOG, _fails, verify_axioms, verify_contraction
 
 
 def euclid_square_exp(x, y):
@@ -17,14 +16,15 @@ def euclid_square_exp(x, y):
     return math.exp((x - y) ** 2)
 
 
-def candidate(dist, sample, points_equal=None):
-    """A candidate distance on scalar samples, checked on the scalar path."""
-    return SpaceInstance("candidate", sample, dist=dist, points_equal=points_equal)
+def candidate(dist, sample):
+    """A candidate distance on scalar samples, checked on the scalar path: it has no
+    chart, so points that are not `==` are distinct."""
+    return SpaceInstance("candidate", sample, dist=dist)
 
 
 def scalar(space):
-    """The space without its chart: the scalar reference path."""
-    return dataclasses.replace(space, chart=None)
+    """The space without its decode: the scalar reference path, the chart's identity kept."""
+    return dataclasses.replace(space, decode=None)
 
 
 class TestVerifyAxioms:
@@ -69,15 +69,14 @@ class TestVerifyAxioms:
         # are distinct and d > 1, so m1 holds
         sp = spaces.positive_vectors(1)
         points = itertools.cycle([PosVec((1.0,)), PosVec((1.0 + 5e-11,))])
-        report = verify_axioms(candidate(sp.dist, lambda rng: next(points), operator.eq),
-                               10, seed=0)
+        report = verify_axioms(candidate(sp.dist, lambda rng: next(points)), 10, seed=0)
         assert report.m1_ok
         assert report.witnesses == []
 
     def test_constant_distance_refuted_on_m1(self):
-        # d = 1 for distinct floats violates m1; only points_equal can see it
+        # d = 1 for distinct floats violates m1; only `==` can see it
         dist, sample = lambda x, y: 1, lambda rng: rng.uniform(-5, 5)
-        report = verify_axioms(candidate(dist, sample, operator.eq), 50, seed=4)
+        report = verify_axioms(candidate(dist, sample), 50, seed=4)
         assert not report.m1_ok
         assert report.witnesses
         for w in report.witnesses:
@@ -85,11 +84,27 @@ class TestVerifyAxioms:
             assert w.axiom == "m1" and x != y
             assert math.log(dist(x, y)) == w.values[0] <= 1e-12
 
-    def test_constant_distance_without_points_equal_not_refuted(self):
-        # points_equal None: the identity is the distance, so d = 1 means x = y
-        report = verify_axioms(candidate(lambda x, y: 1, lambda rng: rng.uniform(-5, 5)),
-                               50, seed=4)
-        assert report.all_ok
+    def test_distance_at_the_point_tolerance_refuted_on_m1(self):
+        # ln d = POINT_EQ_TOL_LOG exactly between distinct points is no distance: m1 fails
+        dist = lambda x, y: MulDistance(0.0 if x == y else 1e-12)
+        points = itertools.cycle([1.0, 2.0])
+        report = verify_axioms(candidate(dist, lambda rng: next(points)), 1, seed=0)
+        assert not report.m1_ok
+        assert report.witnesses[0].points == (1.0, 2.0)
+        assert report.witnesses[0].values == (1e-12,)
+
+    @pytest.mark.parametrize("test, name, value", [
+        (0, "dxy", -SLACK_LOG), (1, "dxx", SLACK_LOG), (2, "dxy", SLACK_LOG),
+        (3, "dxz", SLACK_LOG), (4, "dyz", SLACK_LOG),
+    ], ids=["m1", "m1-self", "m2", "m3", "reverse"])
+    def test_a_miss_by_exactly_the_slack_fails_no_test(self, test, name, value):
+        # one ln d at the slack, the others 0: each test fails only when missed by more
+        def fails(v):
+            logs = {**dict.fromkeys(("dxy", "dyx", "dxz", "dyz", "dxx"), 0.0), name: v}
+            return _fails(*logs.values(), *[SLACK_LOG] * 5)
+
+        assert not any(fails(value))
+        assert fails(math.nextafter(value, math.copysign(math.inf, value)))[test]
 
     def test_replay_determinism(self):
         sp = scalar(spaces.positive_vectors(2))
