@@ -7,11 +7,14 @@ non-convergence, 4 verification refuted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
+from operator import attrgetter
 
 from . import fixed_point as fp
 from . import registry as reg
@@ -26,21 +29,30 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_REFUTED = 4
 
 
+def _list(texts, indent: str) -> str:
+    """Items already written, laid out as `json.dumps(indent=2)` lays out a list."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + "\n" + indent + "]" if texts else "[]"
+
+
+def _reprs(xs) -> tuple | None:
+    """`float.__repr__` of each of xs, as json writes a float, in one C-level pass; None
+    when one is not a float, or is NaN or infinite, which json writes otherwise."""
+    try:
+        texts = tuple(map(float.__repr__, xs))
+    except TypeError:  # ints, bools, points, or the nested lists of an encoded pair
+        return None
+    return None if "n" in "".join(texts) else texts
+
+
 def _array(xs, indent: str) -> str:
     """`json.dumps(list(xs), indent=2)` at this indent, for numbers and nested lists
-    of them: a list of floats is one C-level join of `float.__repr__`, and ints,
-    bools, NaN and the infinities follow json's rules."""
-    if not xs:
-        return "[]"
-    inner = indent + "  "
-    sep = ",\n" + inner
-    try:
-        body = sep.join(map(float.__repr__, xs))
-    except TypeError:  # ints, bools or the nested lists of an encoded pair
-        body = "n"
-    if "n" in body:  # not all floats, or a nan or an infinity among them
-        body = sep.join([_array(x, inner) if isinstance(x, list) else json.dumps(x) for x in xs])
-    return f"[\n{inner}{body}\n{indent}]"
+    or tuples of them: floats by `_reprs`, ints, bools, NaN and infinities by json."""
+    texts = _reprs(xs)
+    if texts is None:
+        texts = [_array(x, indent + "  ") if isinstance(x, (list, tuple)) else json.dumps(x)
+                 for x in xs]
+    return _list(texts, indent)
 
 
 def _float(x: float) -> str:
@@ -54,43 +66,61 @@ _TRACE = ('{\n  "steps": %s,\n  "footer": {\n    "fixed_point": %s,\n    "residu
           '    "iterations": %d,\n    "converged": %s\n  }\n}')
 _STEP = ('{\n      "n": %d,\n      "point": %s,\n      "step_log": %s,\n'
          '      "apriori_log": %s,\n      "aposteriori_log": %s\n    }')
+#: a step whose point is one float, with a slot for n and for each of its floats
+_FLOAT_STEP = _STEP.replace('"point": %s', '"point": [\n        %s\n      ]')
 #: a witness at depth 2, one failed test of a report: its key, axiom or kind, points, values
 _FAILURE = '{\n      %s: %s,\n      "points": %s,\n      "values": %s\n    }'
 
 
-def _items(items: list[str]) -> str:
-    """A list of objects at depth 1, each already written at depth 2."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+@functools.lru_cache(maxsize=64)
+def _witness_template(key: str, axiom: str, n_points: int, n_values: int) -> str:
+    """`_FAILURE` with the written key and axiom (`%` escaped), a slot per point and value."""
+    points, values = (_list(["%s"] * n, "      ") for n in (n_points, n_values))
+    return _FAILURE % (key, axiom.replace("%", "%%"), points, values)
 
 
 def trace_json(report: fp.SolverReport) -> str:
     """A solver report as JSON: its steps (each point as `registry.encode_point`
-    gives it) and a footer, byte for byte what `json.dumps(indent=2)` writes."""
-    steps = [_STEP % (s.n, _array(reg.encode_point(s.point), "      "), _float(s.step_log),
-                      _float(s.apriori_log), _float(s.aposteriori_log))
-             for s in report.trace]
-    return _TRACE % (_items(steps), _array(reg.encode_point(report.fixed_point), "    "),
+    gives it) and a footer, byte for byte what `json.dumps(indent=2)` writes.  Steps
+    with float points and finite floats are one fill of `_FLOAT_STEP`s."""
+    reprs = _reprs(chain.from_iterable(map(
+        attrgetter("point", "step_log", "apriori_log", "aposteriori_log"), report.trace)))
+    if reprs is not None:
+        slots = iter(reprs)
+        steps = _list([_FLOAT_STEP] * len(report.trace), "  ") % tuple(chain.from_iterable(
+            zip(map(attrgetter("n"), report.trace), slots, slots, slots, slots)))
+    else:
+        steps = _list([_STEP % (s.n, _array(reg.encode_point(s.point), "      "),
+                                _float(s.step_log), _float(s.apriori_log),
+                                _float(s.aposteriori_log)) for s in report.trace], "  ")
+    return _TRACE % (steps, _array(reg.encode_point(report.fixed_point), "    "),
                      _float(report.residual_log), report.iterations,
                      json.dumps(report.converged))
 
 
+def _witness_list(key: str, witnesses) -> str:
+    """A report's witnesses at depth 1: one fill of `_witness_template`s when every
+    axiom is a str and every point and value a finite float; else witness by witness,
+    int and float points bare and any other as `registry.encode_point` gives it."""
+    reprs = _reprs(chain.from_iterable(chain.from_iterable(
+        map(attrgetter("points", "values"), witnesses))))
+    if reprs is not None:
+        with contextlib.suppress(TypeError):  # _escape takes only a str
+            return _list([_witness_template(key, _escape(w.axiom), len(w.points),
+                                            len(w.values)) for w in witnesses], "  ") % reprs
+    return _list([_FAILURE % (key, json.dumps(w.axiom), _array(
+        [p if isinstance(p, (int, float)) else reg.encode_point(p) for p in w.points],
+        "      "), _array(w.values, "      ")) for w in witnesses], "  ")
+
+
 def report_json(report) -> str:
     """A verifier report as JSON: its dataclass fields in order, each under its
-    metadata key if it has one, and each witness under the report's witness key
-    with its int and float points as bare numbers and any other point as
-    `registry.encode_point` gives it; byte for byte what `json.dumps(indent=2)`
-    writes."""
+    metadata key if it has one, its witnesses as `_witness_list` writes them; byte
+    for byte what `json.dumps(indent=2)` writes."""
     key, lines = _escape(report.witness_key), []
     for f in dataclasses.fields(report):
         value = getattr(report, f.name)
-        if f.name == "witnesses":
-            value = _items([_FAILURE % (
-                key, json.dumps(w.axiom),
-                _array([p if isinstance(p, (int, float)) else reg.encode_point(p)
-                        for p in w.points], "      "),
-                _array(w.values, "      ")) for w in value])
-        else:
-            value = json.dumps(value)
+        value = _witness_list(key, value) if f.name == "witnesses" else json.dumps(value)
         lines.append(f'  {_escape(f.metadata.get("key", f.name))}: {value}')
     return "{\n" + ",\n".join(lines) + "\n}"
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat, starmap
 from operator import add, gt, mul
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .errors import DomainError, InputError
 from .fixed_point import ContractionSpec, contraction_blocks
@@ -45,8 +45,7 @@ def _log_of(d) -> float:
     return math.log(d) if d > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     axiom: str
     points: tuple
     values: tuple

@@ -15,7 +15,14 @@ import mulmetric
 from mulmetric import cli, spaces
 from mulmetric import fixed_point as fp
 from mulmetric.fixed_point import SolverReport, TraceStep
-from mulmetric.metric_core import ComplexVec, PosVec, RealVec, SampledPosFunction, SegmentPoint
+from mulmetric.metric_core import (
+    ComplexVec,
+    MulDistance,
+    PosVec,
+    RealVec,
+    SampledPosFunction,
+    SegmentPoint,
+)
 from mulmetric import registry
 from mulmetric.expressions import compile_expr
 from mulmetric.verifier import AxiomReport, ContractionReport, Witness
@@ -460,6 +467,34 @@ REPORTS = (
                 WITNESSES, COUNTS, st.integers(), FLOATS))
 
 
+AXIOMS_AND_KINDS = ("m1", "m2", "m3", "reverse", *fp.KINDS)
+#: leaves that are not finite floats, and np.float64, a float subclass json writes as a float
+OTHER_LEAVES = [7, True, SegmentPoint(1.5, 1.0), PosVec((1.0, 3.5)), (2.0, (3.0, 4.0)),
+                math.nan, math.inf, -math.inf, np.float64(0.1)]
+
+
+def some_floats(rng: random.Random, k: int) -> tuple:
+    """k floats: plain ones, MulDistances and a few edge values."""
+    return tuple(rng.choice([-0.0, 5e-324, 1e16, -1e-7, MulDistance(rng.random())])
+                 if rng.random() < 0.2 else rng.uniform(-1e3, 1e3) for _ in range(k))
+
+
+def float_witnesses(rng: random.Random, n: int) -> list:
+    """n witnesses of every axiom and kind, with 1-3 float points and 0-3 float values."""
+    return [Witness(rng.choice(AXIOMS_AND_KINDS), some_floats(rng, rng.randint(1, 3)),
+                    some_floats(rng, rng.randint(0, 3))) for _ in range(n)]
+
+
+def float_trace(rng: random.Random, n: int) -> list:
+    return [TraceStep(k, *some_floats(rng, 4)) for k in range(n)]
+
+
+def put(rng: random.Random, items: tuple, leaf) -> tuple:
+    """The items with one of them, at a random position, replaced by the leaf."""
+    i = rng.randrange(len(items))
+    return items[:i] + (leaf,) + items[i + 1:]
+
+
 class ListSubclass(list):
     pass
 
@@ -529,6 +564,55 @@ class TestWriter:
             written(ContractionReport(w.axiom, 0.5, False, [w, w], 2, 0, 1e-10))
         else:
             written(axiom_report(w, w))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_float_witness_lists(self, seed):
+        witnesses = float_witnesses(random.Random(seed), 300)
+        written(axiom_report(*witnesses))
+        written(ContractionReport("kannan", 0.25, False, witnesses, 300, seed, 1e-10))
+
+    @pytest.mark.parametrize("leaf", OTHER_LEAVES, ids=repr)
+    def test_one_other_leaf_anywhere(self, leaf):
+        # the leaf as a report's one slot, and in place of one float of a long
+        # all-float report or trace
+        written(axiom_report(Witness("m1", (leaf,), ())))
+        written(axiom_report(Witness("m1", (), (leaf,))))
+        rng = random.Random(repr(leaf))
+        for _ in range(8):
+            witnesses = float_witnesses(rng, 60)
+            i = rng.randrange(len(witnesses))
+            axiom, points, values = witnesses[i].axiom, witnesses[i].points, witnesses[i].values
+            if values and rng.random() < 0.5:
+                values = put(rng, values, leaf)
+            else:
+                points = put(rng, points, leaf)
+            witnesses[i] = Witness(axiom, points, values)
+            written(axiom_report(*witnesses))
+            written(ContractionReport("banach", 0.5, False, witnesses, 60, 0, 1e-10))
+            steps = float_trace(rng, 40)
+            # a point of any type; the float fields hold floats only
+            fields = ["point"] + (["step_log", "apriori_log", "aposteriori_log"]
+                                  if isinstance(leaf, float) else [])
+            j = rng.randrange(len(steps))
+            steps[j] = dataclasses.replace(steps[j], **{rng.choice(fields): leaf})
+            written(SolverReport(2.5, 1e-13, 40, True, steps))
+
+    @pytest.mark.parametrize("axiom", ['50%"x', "%s", "%%d %(a)s"])
+    def test_axiom_text_with_percent_signs(self, axiom):
+        witnesses = [Witness(axiom, (1.0, 2.0), (0.5,)), Witness("m2", (3.0,), (0.25, 4.0)),
+                     Witness(axiom, (1.5, 2.5, 3.5), ())]
+        written(axiom_report(*witnesses))
+        written(ContractionReport(axiom, 0.5, False, witnesses, 3, 0, 1e-10))
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 500])
+    def test_float_traces(self, n_steps):
+        steps = float_trace(random.Random(n_steps), n_steps)
+        written(SolverReport(0.7411317710771425, 1.5e-13, n_steps, n_steps > 0, steps))
+
+    def test_segment_trace(self):
+        steps = [TraceStep(n, SegmentPoint(1.0 + 0.5**n, 1.0), 0.5**n, 2.0 * 0.5**n, 0.5**n)
+                 for n in range(30)]
+        written(SolverReport(SegmentPoint(1.0, 1.0), 1e-9, 30, True, steps))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(report=REPORTS)

@@ -138,6 +138,13 @@ class TestBanachSolve:
         for s in report.trace:
             assert s.step_log <= 0.5**s.n * d10 + 1e-10
 
+    def test_step_at_the_chain_slack_accepted(self):
+        # a step of exactly rate * previous + STEP_CHAIN_SLACK obeys the chain
+        bound = 0.3 * 0.5 + STEP_CHAIN_SLACK
+        _check_step(1, bound, 0.3, 0.5)
+        with pytest.raises(InvariantBreachError):
+            _check_step(1, math.nextafter(bound, math.inf), 0.3, 0.5)
+
     def test_apriori_envelope(self):
         report = banach_solve(SQRT, 16.0, BANACH_HALF, tol_log=1e-12)
         d10 = report.trace[0].step_log
@@ -446,6 +453,15 @@ class TestUniquenessProbe:
         probe = uniqueness_probe(square, BANACH_HALF, [1.0, 2.0], tol_log=1e-10,
                                  max_iter=50)
         assert probe.failures
+
+    def test_limits_exactly_twice_the_tolerance_apart_agree(self):
+        # the identity fixes every start, so the limits are the starts themselves
+        ident, worst = SelfMap("id", lambda x: x, POS), POS.dist(1.0, 1.5)
+        probe = uniqueness_probe(ident, BANACH_HALF, [1.0, 1.5], tol_log=worst / 2)
+        assert probe.ok and probe.max_pairwise_log == worst
+        probe = uniqueness_probe(ident, BANACH_HALF, [1.0, 1.5],
+                                 tol_log=math.nextafter(worst / 2, 0.0))
+        assert not probe.ok
 
     def test_needs_two_starts(self):
         with pytest.raises(InputError):

@@ -8,7 +8,7 @@ from mulmetric import spaces
 from mulmetric.errors import InputError
 from mulmetric.metric_core import MulDistance, PosVec
 from mulmetric.spaces import SelfMap, SpaceInstance
-from mulmetric.verifier import SLACK_LOG, _fails, verify_axioms, verify_contraction
+from mulmetric.verifier import SLACK_LOG, Witness, _fails, verify_axioms, verify_contraction
 
 
 def euclid_square_exp(x, y):
@@ -147,6 +147,20 @@ class TestVerifyContraction:
             rhs = 0.9 * sp.dist(x, y).log_value
             assert lhs > rhs + report.slack_log
 
+    @pytest.mark.parametrize("path", [lambda sp: sp, lambda sp: dataclasses.replace(
+        sp, dist=lambda x, y: sp.dist(x, y))], ids=["columns", "pair-loop"])
+    @pytest.mark.parametrize("kind", ["banach", "kannan"])
+    def test_witness_value_types(self, path, kind):
+        # points as sampled, lhs a MulDistance as `dist` gives it, rhs = lambda * q a float
+        sp = path(spaces.positive_reals())
+        report = verify_contraction(SelfMap("square", lambda x: x * x, sp), kind, 0.1, 300,
+                                    seed=4)
+        assert len(report.witnesses) > 100
+        for w in report.witnesses:
+            assert type(w) is Witness and w.axiom == kind
+            assert [type(p) for p in w.points] == [float, float]
+            assert [type(v) for v in w.values] == [MulDistance, float]
+
     def test_kannan_quarter(self):
         quarter = SelfMap("quarter", lambda x: x / 4, spaces.real_line_exp())
         report = verify_contraction(quarter, "kannan", 1 / 3, 2000, seed=0)
@@ -169,3 +183,20 @@ class TestVerifyContraction:
         a = verify_contraction(sqrt, "banach", 0.5, 300, seed=9)
         b = verify_contraction(sqrt, "banach", 0.5, 300, seed=9)
         assert a == b
+
+
+class TestWitness:
+    """A witness is a named tuple (axiom, points, values)."""
+
+    def test_fields_and_positional_construction(self):
+        w = Witness("m3", (1.0, 2.0, 3.0), (MulDistance(0.5), 0.25))
+        assert Witness._fields == ("axiom", "points", "values")
+        assert (w.axiom, w.points, w.values) == tuple(w)
+        assert w == Witness(axiom="m3", points=(1.0, 2.0, 3.0), values=(0.5, 0.25))
+        # a named tuple equals the plain tuple of its items
+        assert w == ("m3", (1.0, 2.0, 3.0), (0.5, 0.25))
+
+    def test_repr(self):
+        w = Witness("m1", (1.0, 2.5), (MulDistance(0.5),))
+        assert repr(w) == ("Witness(axiom='m1', points=(1.0, 2.5), "
+                           "values=(MulDistance(log_value=0.5),))")
