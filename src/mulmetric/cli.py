@@ -141,8 +141,17 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+def _refuse(args, names, mode: str):
+    """An InputError naming each flag of `names` that args gives: mode would drop it."""
+    dropped = ["--lambda" if n == "lam" else "--" + n
+               for n, value in _given(args, names).items() if value is not False]
+    if dropped:
+        raise InputError(f"{mode} takes no {', '.join(dropped)}")
+
+
 def _load_problem(args) -> tuple[reg.ProblemDefinition, spaces.SelfMap]:
     """The problem the flags describe, and its map built on its space."""
+    _refuse(args, ("map", "expr", "space") if args.problem else (), "--problem")
     given = _given(args, OVERRIDES)
     if args.x0 is not None:
         given["x0"] = reg.parse_value("x0", args.x0)
@@ -198,14 +207,15 @@ def _verify_contraction(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.complex and (args.expr_dist or args.problem or args.map or args.expr
-                         or args.space != "d-a"):
-        raise InputError("--complex applies only to verify --space d-a")
     if args.expr_dist:
+        _refuse(args, ("problem", "map", "expr", "space", "dim", "base", "kind", "lam",
+                       "complex"), "verify --expr-dist")
         return _verify_expr_dist(args)
     if args.problem or args.map or args.expr:
+        _refuse(args, ("complex",), "a contraction check")
         return _verify_contraction(args)
     if args.space:
+        _refuse(args, ("kind", "lam"), "verify --space")
         return _verify_space(args)
     raise MulMetricError("nothing to verify: give --space, --expr-dist, "
                          "--problem, --map, or --expr")

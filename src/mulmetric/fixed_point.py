@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import add, le, mul, not_, sub, truediv
+from operator import add, le, not_, truediv
 from typing import Callable, Sequence
 
 from .errors import (
@@ -90,42 +90,30 @@ class UniquenessProbe:
     ok: bool
 
 
-def contraction_logs(kind: str, dist: Callable, x, y, fx, fy) -> tuple[float, float]:
-    """ln d(fx, fy) and the log quantity lambda multiplies in the kind's
-    condition (see the module docstring)."""
+def contraction_logs(kind: str, dist: Callable, x, y, fx, fy,
+                     plus: Callable = add) -> tuple[float, float]:
+    """ln d(fx, fy) and the log quantity lambda multiplies in the kind's condition
+    (see the module docstring), `plus` joining its two terms; given columns of chart
+    coordinates, `Chart.gaps` and a column sum, both sides are columns."""
     lhs = dist(fx, fy)
     if kind == "banach":
         return lhs, dist(x, y)
     if kind == "kannan":
-        return lhs, dist(fx, x) + dist(fy, y)
-    return lhs, dist(fx, y) + dist(fy, x)
+        return lhs, plus(dist(fx, x), dist(fy, y))
+    return lhs, plus(dist(fx, y), dist(fy, x))
 
 
 def _columns(map_: SelfMap, kind: str, rng: random.Random, b: int) -> tuple:
     """b pairs on a scalar chart, an operation at a time over the block: the draws
-    of the pair loop, the map and phi once per point, and the float operations of
-    Chart.dist and contraction_logs in their order, so every value is bit-identical."""
+    of the pair loop, the map and phi once per point, and `Chart.gaps` for `dist`,
+    so every value is bit-identical."""
     chart = map_.space.chart
     points = list(map(map_.space.sample, repeat(rng, 2 * b)))  # maps draw nothing
     images = list(map(map_.fn, points))  # an error: the pair loop wraps it as SelfMap does
-    coords, image_coords = (points, images) if chart.phi is None else (
-        list(map(chart.phi, points)), list(map(chart.phi, images)))
-    x, y, fx, fy = coords[0::2], coords[1::2], image_coords[0::2], image_coords[1::2]
-    unit, factor, divisor = chart.factor == chart.divisor == 1.0, chart.factor, chart.divisor
-
-    def dist(p, q):
-        r = map(math.fabs, map(sub, p, q))
-        return list(r if unit else map(truediv, map(mul, r, repeat(factor)), repeat(divisor)))
-
-    lhs = dist(fx, fy)
-    if kind == "banach":
-        q = dist(x, y)
-    else:
-        p, c = (x, y) if kind == "kannan" else (y, x)
-        q = list(map(add, dist(fx, p), dist(fy, c)))
-    if not math.isfinite(sum(lhs) + sum(q)):  # a NaN or infinite gap: the pair loop names it
-        raise ArithmeticError
-    return points[0::2], points[1::2], lhs, q
+    c, fc = chart.coords(points), chart.coords(images)
+    return (points[0::2], points[1::2], *contraction_logs(
+        kind, chart.gaps, c[0::2], c[1::2], fc[0::2], fc[1::2],
+        lambda p, q: list(map(add, p, q))))
 
 
 def contraction_blocks(map_: SelfMap, kind: str, n_pairs: int, seed: int):

@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Optional
 
 from .errors import DomainError, ShapeError
@@ -172,6 +173,35 @@ class Chart:
     factor: float = 1.0
     divisor: float = 1.0
     scalar: bool = False
+
+    def coords(self, points) -> list:
+        """phi of each point, in order (the points themselves where phi is None)."""
+        return points if self.phi is None else list(map(self.phi, points))
+
+    def gaps(self, a, b) -> list:
+        """rho(a[i], b[i]) for two columns of scalar coordinates, by `dist`'s float
+        operations in `dist`'s order; a DomainError unless the column's sum is finite
+        (a NaN or infinite gap, or a sum that overflows)."""
+        r = map(math.fabs, map(operator.sub, a, b))
+        r = list(r if self.factor == self.divisor == 1.0 else map(
+            operator.truediv, map(operator.mul, r, repeat(self.factor)), repeat(self.divisor)))
+        if math.isfinite(sum(r)):
+            return r
+        raise DomainError("a gap of the column is not finite")
+
+    def product(self, other: Optional["Chart"]) -> Optional["Chart"]:
+        """The chart of pairs (p, q), p a point of this chart and q of other: their
+        coordinates concatenated; None unless both are L1 charts of one scale."""
+        if not (other and self.norm == other.norm == "l1"
+                and (self.factor, self.divisor) == (other.factor, other.divisor)):
+            return None
+        (phi1, s1), (phi2, s2) = ((c.phi or (lambda x: x), c.scalar) for c in (self, other))
+
+        def phi(p):
+            p, q = p if isinstance(p, tuple) else ()  # a ValueError for anything but a pair
+            return (*((phi1(p),) if s1 else phi1(p)), *((phi2(q),) if s2 else phi2(q)))
+
+        return Chart(phi, factor=self.factor, divisor=self.divisor)
 
     def rho(self, a, b):
         gap = abs(a - b)

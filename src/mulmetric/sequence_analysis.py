@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -55,30 +56,22 @@ def tail_start(n: int) -> int:
 
 def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0) -> list:
     """max over j > k of rho(x_k, x_j) for k = start .. n-2.  On a one-coordinate
-    chart whose coordinates are finite numbers this is one backward scan (float
-    subtraction and the scale are monotone, so a row's largest gap is to the
-    largest or smallest later coordinate, bit-equal to evaluating the row);
-    elsewhere every row is evaluated in full, in order, so a failing distance
-    raises at the same pair as a pair loop."""
-    n, chart, c = len(seq), space.chart, None
+    chart this is one backward scan (float subtraction and the scale are monotone,
+    so a row's largest gap is to the largest or smallest later coordinate, bit-equal
+    to evaluating the row); elsewhere, or where the scan raises, every row is
+    evaluated in full, in order, so a failing distance raises at the same pair as a
+    pair loop."""
+    chart = space.chart
     if chart is not None and chart.scalar:
-        phi = chart.phi or (lambda x: x)
         try:
-            coords = [phi(seq[k]) for k in range(start, n)]
-            if all(map(math.isfinite, coords)):
-                c = coords
-        except (DomainError, ArithmeticError, ValueError, TypeError):
+            c = chart.coords(seq[start:])[::-1]
+            return list(map(max, chart.gaps(c[1:], accumulate(c, max)),
+                            chart.gaps(c[1:], accumulate(c, min))))[::-1]
+        except Exception:  # a term or gap the scan refuses: the rows name it
             pass
-    if c is None:
-        dist = space.dist
-        return [max([dist(seq[k], seq[j]) for j in range(k + 1, n)])
-                for k in range(start, n - 1)]
-    unit, hi, lo, maxima = chart.factor == chart.divisor == 1.0, c[-1], c[-1], []
-    for x in reversed(c[:-1]):
-        r = max(abs(x - hi), abs(x - lo))
-        maxima.append(r if unit else r * chart.factor / chart.divisor)
-        hi, lo = max(hi, x), min(lo, x)
-    return maxima[::-1]
+    dist, n = space.dist, len(seq)
+    return [max([dist(seq[k], seq[j]) for j in range(k + 1, n)])
+            for k in range(start, n - 1)]
 
 
 def convergence_diagnostic(seq: Sequence, limit, space: SpaceInstance,
@@ -133,13 +126,13 @@ def cauchy_diagnostic(seq: Sequence, space: SpaceInstance, tol_log: float,
 def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
     """Bound M > 1 and center index via the eps = 2 Cauchy-tail construction.
 
-    The center n0 is the earliest index whose tail has all pairwise
-    distances below 2; M = max{2, distances of the earlier elements to the
-    center}.  Every element then satisfies d(x_n, x_n0) <= M.  Tails are
-    nested, so n0 is one past the last index k with some d(x_k, x_j) >= 2,
-    j > k.  On a one-coordinate chart the row maxima come from one O(n) scan;
-    elsewhere every row of the upper triangle is evaluated in full, so a call
-    costs n(n-1)/2 + n distances whatever the terms are.
+    The center n0 is the earliest index whose tail has all pairwise distances below 2;
+    M = max{2, distances of the earlier elements to the center}, a DomainError beyond
+    the floats.  Every element then satisfies d(x_n, x_n0) <= M.  Tails are nested, so
+    n0 is one past the last index k with some d(x_k, x_j) >= 2, j > k.  On a
+    one-coordinate chart the row maxima come from one O(n) scan; elsewhere every row
+    of the upper triangle is evaluated in full, so a call costs n(n-1)/2 + n distances
+    whatever the terms are.
     """
     if len(seq) == 0:
         raise InputError("empty sequence")
@@ -148,7 +141,10 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
     row = [space.dist(x, seq[n0]) for x in seq]
     m_log = max([ln2] + row[:n0])
     assert all(r <= m_log + 1e-12 for r in row)
-    return BoundReport(center_index=n0, M=math.exp(m_log))
+    try:
+        return BoundReport(center_index=n0, M=math.exp(m_log))
+    except OverflowError:
+        raise DomainError(f"the bound M overflows a float: ln M = {float(m_log)!r}") from None
 
 
 def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[float],

@@ -170,19 +170,12 @@ def real_line_exp() -> SpaceInstance:
 def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
     """Pair space with the product metric d1 * d2 (rho1 + rho2); points are 2-tuples.
 
-    The factors' charts must be L1 charts of one scale (factor and divisor): the
-    pair's chart is then their coordinates concatenated, at that scale.  Any
-    other pair of factors is an InputError.
+    The factors' charts must be L1 charts of one scale: the pair's chart is then
+    their coordinates concatenated (`Chart.product`); any other pair is an InputError.
     """
-    name, c1, c2 = f"product({s1.name},{s2.name})", s1.chart, s2.chart
-    if not (c1 and c2 and c1.norm == c2.norm == "l1"
-            and (c1.factor, c1.divisor) == (c2.factor, c2.divisor)):
+    name, chart = f"product({s1.name},{s2.name})", s1.chart and s1.chart.product(s2.chart)
+    if chart is None:
         raise InputError(f"no chart for {name}: the factors need L1 charts of one scale")
-    phi1, phi2 = map(_coord_tuple, (c1, c2))
-
-    def phi(p):
-        p1, p2 = p if isinstance(p, tuple) else ()  # a ValueError for anything but a pair
-        return (*phi1(p1), *phi2(p2))
 
     def sample(rng: random.Random):
         return (s1.sample(rng), s2.sample(rng))
@@ -193,14 +186,7 @@ def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
         import numpy as np
         return np.concatenate([decode1(u[..., :k]), decode2(u[..., k:])], -1)
 
-    return SpaceInstance(name, sample, Chart(phi, factor=c1.factor, divisor=c1.divisor),
-                         k + s2.draws, decode)
-
-
-def _coord_tuple(chart: Chart) -> Callable:
-    """The chart's phi as a map to a tuple of coordinates."""
-    phi = chart.phi or (lambda x: x)
-    return (lambda x: (phi(x),)) if chart.scalar else phi
+    return SpaceInstance(name, sample, chart, k + s2.draws, decode)
 
 
 def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:

@@ -1,6 +1,7 @@
 """Chart spaces: the batched draws and distances against the scalar sampler and
 distance, and the batched axiom verifier against the scalar one."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -11,9 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mulmetric
 from mulmetric import cli, spaces
 from mulmetric.errors import DomainError, ShapeError
-from mulmetric.metric_core import POS_CHART, Grid, SampledPosFunction, SegmentPoint
+from mulmetric.metric_core import (
+    LINE_CHART,
+    POS_CHART,
+    SEGMENT_CHART,
+    Grid,
+    RealVec,
+    SampledPosFunction,
+    SegmentPoint,
+)
 from mulmetric.verifier import _Replay, verify_axioms
 
 # every id of spaces.SPACES; d-a both real and complex
@@ -258,3 +268,91 @@ def test_chart_distance_keeps_the_formulas():
         assert seg.dist(p, q).log_value == gap / 3.0
         x, y = d_a.sample(rng), d_a.sample(rng)
         assert d_a.dist(x, y).log_value == math.log(2.0) * sum(abs(a - b) for a, b in zip(x, y))
+
+
+# points of the one-coordinate chart spaces, out to the ends of the floats where the
+# space reaches them
+SCALAR_POINTS = {
+    "pos-reals": st.floats(min_value=5e-324, allow_infinity=False),
+    "pos-interval": st.floats(0.1, 1.0),
+    "real-line-exp": st.floats(-20.0, 20.0) | st.floats(allow_nan=False, allow_infinity=False),
+    "segment": st.builds(lambda u, first: SegmentPoint(u, 1.0) if first else SegmentPoint(1.0, u),
+                         st.floats(1.0, 2.0), st.booleans()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_POINTS))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_gaps_are_the_distances_bit_for_bit(name, data):
+    chart = BUILT[name].chart
+    pairs = data.draw(st.lists(st.tuples(SCALAR_POINTS[name], SCALAR_POINTS[name]),
+                               max_size=12))
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    try:
+        expected = [chart.dist(x, y) for x, y in pairs]
+    except DomainError:  # an infinite gap (real-line-exp at the ends of the floats)
+        expected = None
+    if expected is None or not math.isfinite(sum(expected)):
+        with pytest.raises(DomainError):
+            chart.gaps(chart.coords(xs), chart.coords(ys))
+    else:
+        assert (list(map(float.hex, chart.gaps(chart.coords(xs), chart.coords(ys))))
+                == list(map(float.hex, expected)))
+
+
+@pytest.mark.parametrize("chart", [POS_CHART, LINE_CHART, SEGMENT_CHART],
+                         ids=["pos", "line", "segment"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaps_raise_on_a_nan_or_infinite_gap(chart, bad):
+    for a, b in (([0.5, bad], [1.0, 2.0]), ([0.5, 2.0], [1.0, bad]), ([bad], [bad])):
+        with pytest.raises(DomainError):
+            chart.gaps(a, b)
+    assert chart.gaps([], []) == []
+
+
+def test_gaps_raise_on_a_column_sum_that_overflows():
+    # each gap is a float, their sum is not
+    big = [1.5e308, 1.5e308]
+    assert all(map(math.isfinite, [LINE_CHART.dist(x, 0.0) for x in big]))
+    with pytest.raises(DomainError):
+        LINE_CHART.gaps(big, [0.0, 0.0])
+
+
+def test_coords_are_phi_of_each_point_in_order():
+    points = [2.0, 0.5, 8.0]
+    assert POS_CHART.coords(points) == [math.log(x) for x in points]
+    assert LINE_CHART.coords(points) is points  # the identity chart: the points themselves
+    segment = [SegmentPoint(2.0, 1.0), SegmentPoint(1.0, 2.0)]
+    assert SEGMENT_CHART.coords(segment) == [math.log(2.0), -math.log(2.0)]
+
+
+def test_a_product_needs_two_l1_charts_of_one_scale():
+    sup = BUILT["func-sup"].chart  # an L-infinity chart
+    d_a2, d_a3 = (spaces.exp_metric(1, base).chart for base in (2.0, 3.0))
+    for a, b in ((POS_CHART, sup), (sup, POS_CHART), (sup, sup), (POS_CHART, None),
+                 (POS_CHART, SEGMENT_CHART), (SEGMENT_CHART, LINE_CHART), (d_a2, d_a3)):
+        assert a.product(b) is None
+    # one scale: the pair's coordinates are the factors', concatenated
+    pair = POS_CHART.product(LINE_CHART)
+    assert pair.phi((math.e, 2.0)) == (1.0, 2.0) and pair.factor == pair.divisor == 1.0
+    seg = SEGMENT_CHART.product(SEGMENT_CHART)
+    assert seg.divisor == 3.0
+    assert seg.phi((SegmentPoint(2.0, 1.0), SegmentPoint(1.0, 1.0))) == (math.log(2.0), 0.0)
+    vectors = d_a2.product(d_a2)
+    assert vectors.factor == math.log(2.0)
+    assert vectors.phi((RealVec((1.0,)), RealVec((3.0,)))) == (1.0, 3.0)
+
+
+def test_only_metric_core_reads_a_charts_fields():
+    # every decision about a chart's phi, norm and scale is made inside Chart
+    package = os.path.dirname(mulmetric.__file__)
+    reads = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "metric_core.py":
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            reads += [f"{name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in {"phi", "factor", "divisor", "norm"}]
+    assert reads == []

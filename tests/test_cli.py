@@ -172,6 +172,52 @@ class TestUsageErrors:
         space_id = argv[argv.index("--space") + 1]
         assert capsys.readouterr().err == f"error: space {space_id!r} takes no {flags}\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["solve", "--problem", "sqrt-toy", "--expr", "x/2"], "--problem takes no --expr"),
+        (["estimate", "--problem", "sqrt-toy", "--map", "quarter"], "--problem takes no --map"),
+        (["estimate", "--problem", "sqrt-toy", "--space", "real-line-exp"],
+         "--problem takes no --space"),
+        (["verify", "--problem", "sqrt-toy", "--map", "quarter", "--expr", "x", "--space",
+          "pos-reals"], "--problem takes no --map, --expr, --space"),
+        (["verify", "--problem", "sqrt-toy", "--expr-dist", "x"],
+         "verify --expr-dist takes no --problem"),
+        (["verify", "--expr-dist", "x", "--dim", "0"], "verify --expr-dist takes no --dim"),
+        (["verify", "--expr-dist", "x", "--space", "d-a"], "verify --expr-dist takes no --space"),
+        (["verify", "--expr-dist", "x", "--kind", "kannan", "--lambda", "0", "--base", "2"],
+         "verify --expr-dist takes no --base, --kind, --lambda"),
+        (["verify", "--expr-dist", "x", "--map", "quarter", "--expr", "x"],
+         "verify --expr-dist takes no --map, --expr"),
+        (["verify", "--space", "pos-reals", "--kind", "banach"], "verify --space takes no --kind"),
+        (["verify", "--space", "pos-reals", "--lambda", "0"], "verify --space takes no --lambda"),
+        # --complex belongs to verify --space d-a alone
+        (["verify", "--expr", "x", "--space", "d-a", "--dim", "1", "--complex"],
+         "a contraction check takes no --complex"),
+        (["verify", "--problem", "sqrt-toy", "--complex"],
+         "a contraction check takes no --complex"),
+        (["verify", "--expr-dist", "abs(x-y)+1", "--complex"],
+         "verify --expr-dist takes no --complex"),
+        (["verify", "--space", "pos-reals", "--complex"], "space 'pos-reals' takes no --complex"),
+    ], ids=["solve-problem-expr", "estimate-problem-map", "estimate-problem-space",
+            "verify-problem-three", "expr-dist-problem", "expr-dist-dim-0", "expr-dist-space",
+            "expr-dist-base-kind-lambda-0", "expr-dist-map-expr", "space-kind",
+            "space-lambda-0", "complex-expr", "complex-problem", "complex-expr-dist",
+            "complex-pos-reals"])
+    def test_flags_the_command_does_not_use_exit_2(self, argv, error, capsys):
+        assert run([*argv, "--out", os.devnull]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--expr-dist", "abs(x-y)", "--lo", "1", "--hi", "2", "--seed", "3",
+         "--samples", "50"],
+        ["verify", "--problem", "paper-scalar", "--kind", "banach", "--lambda", "0.8",
+         "--lo", "0.2", "--hi", "1", "--seed", "1", "--samples", "50"],
+        ["verify", "--space", "d-a", "--dim", "2", "--base", "2", "--complex", "--seed", "1",
+         "--samples", "50"],
+        ["estimate", "--problem", "sqrt-toy", "--kind", "banach", "--seed", "2"],
+    ], ids=["expr-dist", "problem", "space", "estimate"])
+    def test_flags_each_command_uses_are_taken(self, argv):
+        assert run([*argv, "--out", os.devnull]) in (0, 4)
+
     @pytest.mark.parametrize("argv, first_line", [
         (["solve", "--problem", "missing.txt"],
          "error: [Errno 2] No such file or directory: 'missing.txt'"),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulmetric import spaces
-from mulmetric.errors import InputError
+from mulmetric.errors import DomainError, InputError
 from mulmetric.metric_core import MulDistance, PosVec, RealVec, SegmentPoint
 from mulmetric.sequence_analysis import (
     BoundReport,
@@ -179,6 +179,17 @@ class TestBoundedDiagnostic:
             assert POS.dist(x, c).log_value <= math.log(report.M) + 1e-12
 
 
+    @pytest.mark.parametrize("chart", [True, False], ids=["scan", "rows"])
+    def test_a_bound_beyond_the_floats_is_a_domain_error(self, chart):
+        space = spaces.real_line_exp() if chart else without_chart(spaces.real_line_exp())
+        with pytest.raises(DomainError, match=r"^the bound M overflows a float: ln M = 800\.0$"):
+            bounded_diagnostic([800.0, 0.0], space)
+        # the largest ln M whose e^ln M is a float is a bound still
+        ln_max = 709.782712893384
+        assert bounded_diagnostic([ln_max, 0.0], space).M == math.exp(ln_max)
+        with pytest.raises(DomainError):
+            bounded_diagnostic([math.nextafter(ln_max, math.inf), 0.0], space)
+
     @pytest.mark.parametrize("space", [POS, DSTAR], ids=["pos-reals", "d-star"])
     def test_matches_matrix_reference(self, space):
         rng = random.Random(11)
@@ -265,7 +276,9 @@ class TestChartPath:
         (POS, [2.0, 0.0, 3.0]),
         (POS, [2.0, math.inf, 3.0, math.inf, 3.0]),
         (spaces.positive_interval(0.5, 4.0), [1.0, 5.0, 2.0]),
-    ], ids=["zero", "inf-twice", "outside-interval"])
+        # finite coordinates, an infinite gap: no two of these are points of one line
+        (spaces.real_line_exp(), [1e308, -1e308, 0.0, 0.0]),
+    ], ids=["zero", "inf-twice", "outside-interval", "infinite-gap"])
     def test_bad_terms_fall_back_to_the_pair_loops(self, space, seq):
         for diagnostic, former, args in ((bounded_diagnostic, former_bounded_diagnostic, ()),
                                          (cauchy_diagnostic, former_cauchy_diagnostic, (0.1,))):
@@ -526,3 +539,65 @@ class TestSequenceLemmas:
             sub = seq[::2]
             assert convergence_diagnostic(sub, limit, POS, tol).verdict
             assert convergence_diagnostic(seq, limit, POS, 2 * tol).verdict
+
+
+class TestBoundaries:
+    """Each comparison of sequence_analysis decided at its boundary (the mutation
+    probe's survivors), with an input exactly on it."""
+
+    def test_a_bound_report_needs_m_above_one(self):
+        assert BoundReport(center_index=0, M=math.nextafter(1.0, 2.0)).M > 1
+        with pytest.raises(AssertionError):
+            BoundReport(center_index=0, M=1.0)
+
+    def test_convergence_tolerance_must_be_positive(self):
+        with pytest.raises(InputError, match="tol_log must be positive, got 0.0"):
+            convergence_diagnostic([1.0], 1.0, POS, 0.0)
+
+    def test_the_convergence_witness_is_the_first_worst_term(self):
+        # every tail term lies ln 2 from the limit: the first of them is the witness
+        seq = [2.0, 0.5] * 6
+        diag = convergence_diagnostic(seq, 1.0, POS, 0.5)
+        assert not diag.verdict and diag.witness_index == tail_start(len(seq))
+        assert diag.witness_value == math.log(2.0)
+
+    def test_a_tail_exactly_at_the_tolerance_converges(self):
+        # ln d(2, 1) = ln 2 exactly: "ln d <= tol" holds at equality
+        assert convergence_diagnostic([2.0] * 8, 1.0, POS, math.log(2.0)).verdict
+        assert not convergence_diagnostic([2.0] * 8, 1.0, POS,
+                                          math.nextafter(math.log(2.0), 0.0)).verdict
+
+    @pytest.mark.parametrize("chart", [True, False], ids=["scan", "rows"])
+    def test_a_distance_of_exactly_two_leaves_the_cauchy_tail(self, chart):
+        # d(1, 2) = 2 is not below eps = 2: the centre moves past the first term
+        space = POS if chart else without_chart(POS)
+        assert POS.dist(1.0, 2.0) == math.log(2.0)
+        report = bounded_diagnostic([1.0, 2.0], space)
+        assert (report.center_index, report.M) == (1, 2.0)
+        assert bounded_diagnostic([1.0, math.nextafter(2.0, 1.0)], space).center_index == 0
+
+    def test_a_bound_whose_slack_vanishes_is_checked_before_it_overflows(self):
+        # at ln M = 1e5, ln M + 1e-12 == ln M: the row's own check still passes
+        with pytest.raises(DomainError, match=r"ln M = 100000\.0$"):
+            bounded_diagnostic([1e5, 0.0], spaces.real_line_exp())
+
+    @pytest.mark.parametrize("A, cand", [([1.0], 0.0), ([0.0, 1.0], 1.0)],
+                             ids=["candidate", "element"])
+    def test_extrema_need_positive_elements(self, A, cand):
+        for check in (check_supremum, check_infimum):
+            with pytest.raises(InputError, match="must be positive"):
+                check(A, cand, [2.0])
+
+    def test_every_epsilon_must_exceed_one(self):
+        assert check_supremum([1.0], 1.0, [math.nextafter(1.0, 2.0)]).verdict
+        with pytest.raises(InputError, match="must exceed 1"):
+            check_supremum([1.0], 1.0, [2.0, 1.0])
+
+    def test_peaks_win_a_tie_with_the_chain(self):
+        # peaks [1, 2] (3.0, 2.0) and the chain [0, 1] (1.0, 3.0) are both two long
+        assert monotone_subsequence([1.0, 3.0, 2.0]) == [1, 2]
+
+    def test_bw_bound_must_exceed_one(self):
+        assert bw_extract([1.0], math.nextafter(1.0, 2.0)) == ([0], 1.0)
+        with pytest.raises(InputError, match="bound M must exceed 1, got 1.0"):
+            bw_extract([1.0], 1.0)
