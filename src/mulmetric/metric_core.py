@@ -164,8 +164,8 @@ class Chart:
     the space: it alone decides what a point of the space is.  The scale is a
     factor and a divisor so that ln(a) * gap and gap / 3 keep their closed
     forms bit for bit.  `dist` gives rho of two points as a MulDistance (a
-    DomainError for anything phi cannot read, or a NaN or infinite gap), `rho`
-    of two arrays of chart coordinates (last axis: one point's coordinates).
+    DomainError for anything phi cannot read, or a NaN or infinite gap).  rho is
+    then a pseudometric for any phi, and a metric exactly when phi is injective.
     """
 
     phi: Optional[Callable] = None
@@ -202,11 +202,6 @@ class Chart:
             return (*((phi1(p),) if s1 else phi1(p)), *((phi2(q),) if s2 else phi2(q)))
 
         return Chart(phi, factor=self.factor, divisor=self.divisor)
-
-    def rho(self, a, b):
-        gap = abs(a - b)
-        r = gap.max(axis=-1) if self.norm == "linf" else gap.sum(axis=-1)
-        return r * self.factor / self.divisor
 
     @cached_property
     def dist(self) -> Callable:

@@ -41,7 +41,8 @@ class SpaceInstance:
     it in); only a chartless space, such as a candidate distance under test,
     gives `dist` itself.  A chart space also has `draws`, the rng.random()
     calls `sample` makes per point, and `decode`, which maps such draws, shape
-    (..., draws), to the chart coordinates of the points built from them.
+    (..., draws), to the chart coordinates of the points built from them, each
+    within verifier.CHART_REL_ERR * (1 + |phi|) of phi's.
     """
 
     name: str

@@ -3,7 +3,8 @@
 A passing report is a statistical certificate only (the sampler cannot
 exhaust a continuum), so every report carries sampled_not_proved = True.
 A failing report is sound: each witness stores the exact inputs and the
-measured values, and re-evaluating it reproduces the violation.
+measured values, and re-evaluating it reproduces the violation.  On a chart
+space only m1's distinct-points test can fail, and only it runs there.
 """
 
 from __future__ import annotations
@@ -22,22 +23,18 @@ from .spaces import SelfMap, SpaceInstance
 
 #: how far a sampled ln d may miss an axiom or a contraction inequality (rounding)
 SLACK_LOG = 1e-10
-#: bound on |batched rho - scalar rho| / (1 + rho) on a chart space (sums in
-#: another order; numpy's exp, log and sin may differ from math's by an ulp)
+#: bound on |decode - phi| / (1 + |phi|) per chart coordinate (numpy's exp, log
+#: and sin may differ from math's by an ulp)
 CHART_REL_ERR = 1e-13
 #: floats per array in one batch of chart samples
 BLOCK_FLOATS = 2**14
 
 
 def _log_of(d) -> float:
-    """Log-domain value of a candidate distance result.
-
-    Accepts a MulDistance, which is ln d, or a plain value d (the candidate
-    need not be a multiplicative metric, so values below 1 map to negative
-    logs, and d <= 0 to -inf, which the m1 check flags); a complex value, NaN
-    or +inf (not in R_+) is a ValueError, which verify_axioms names with its
-    sample.
-    """
+    """ln d of a candidate distance's result d: a MulDistance is ln d already; a plain
+    d below 1 maps to a negative log and d <= 0 to -inf, which m1 flags.  A complex
+    value, NaN or +inf (not in R_+) is a ValueError, which verify_axioms names with its
+    sample."""
     if isinstance(d, MulDistance):
         return d
     if isinstance(d, complex) or not d < math.inf:
@@ -82,25 +79,24 @@ class ContractionReport:
     witness_key: ClassVar[str] = "kind"
 
 
-def _fails(dxy, dyx, dxz, dyz, dxx, m1, m1_self, m2, m3, reverse):
-    """The five axiom tests on the log distances of a triple (floats) or of a block
-    of triples (arrays): m1 on (x, y), m1 on (x, x), m2, m3 and the reverse
-    inequality, each true where the test fails by more than its own slack."""
-    return (dxy < -m1, abs(dxx) > m1_self, abs(dxy - dyx) > m2,
-            dxz > dxy + dyz + m3, abs(dxz - dyz) > dxy + reverse)
+def _fails(dxy, dyx, dxz, dyz, dxx, slack):
+    """The five axiom tests on a triple's log distances: m1 on (x, y) and on (x, x),
+    m2, m3 and the reverse inequality, each true where it fails by more than slack."""
+    return (dxy < -slack, abs(dxx) > slack, abs(dxy - dyx) > slack,
+            dxz > dxy + dyz + slack, abs(dxz - dyz) > dxy + slack)
 
 
-def _axiom_witnesses(distance, x, y, z, chartless) -> list[Witness]:
-    """The witnesses one sampled triple gives, in the order the report lists them.
-    A chart space's identity is its distance; a chartless candidate's is `==`."""
+def _axiom_witnesses(distance, x, y, z) -> list[Witness]:
+    """The witnesses one sampled triple gives a chartless candidate, in the order
+    the report lists them; its points are told apart by `==`."""
     dxy = _log_of(distance(x, y))
     dyx = _log_of(distance(y, x))
     dxz = _log_of(distance(x, z))
     dyz = _log_of(distance(y, z))
     dxx = _log_of(distance(x, x))
-    m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, *[SLACK_LOG] * 5)
+    m1, m1_self, m2, m3, reverse = _fails(dxy, dyx, dxz, dyz, dxx, SLACK_LOG)
     found = []
-    if m1 or (chartless and dxy <= POINT_EQ_TOL_LOG and x != y):
+    if m1 or (dxy <= POINT_EQ_TOL_LOG and x != y):
         found.append(Witness("m1", (x, y), (dxy,)))
     if m1_self:
         found.append(Witness("m1", (x, x), (dxx,)))
@@ -113,6 +109,13 @@ def _axiom_witnesses(distance, x, y, z, chartless) -> list[Witness]:
     return found
 
 
+def _chart_witness(dist, x, y) -> list[Witness]:
+    """m1 on a chart space: distinct points at ln d = 0 exactly (any positive
+    tolerance would refute distinct points that are merely close)."""
+    dxy = dist(x, y)
+    return [Witness("m1", (x, y), (dxy,))] if dxy == 0.0 and x != y else []
+
+
 class _Replay(random.Random):
     """Hands out recorded rng.random() values: a sampler rebuilds its points."""
 
@@ -123,60 +126,46 @@ class _Replay(random.Random):
         return next(self._values)
 
 
-def _chart_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Witness]:
-    """verify_axioms on a chart space, a block of samples at a time: the same
-    random.Random(seed) stream, the five distances and the axiom tests on chart
-    arrays.  A sample within a margin of failing a test (half the slack plus
-    CHART_REL_ERR times 1 + ln d for each distance that test reads) is rebuilt
-    from its draws as exact points and checked by the scalar code, which alone
-    writes witnesses."""
+def _batched_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Witness]:
+    """verify_axioms on a chart space with a decode, in blocks of the same random.Random
+    stream, x and y of each triple decoded.  Where phi(x) = phi(y), decode puts x and y
+    within 2 * CHART_REL_ERR * (1 + |x| + |y|) in each coordinate: such a row, or one
+    with a non-finite gap, is rebuilt from its draws and checked by the scalar code."""
     import numpy as np
-    draw, k, rho = random.Random(seed).random, space.draws, space.chart.rho
-    width = space.decode(np.zeros(k)).shape[-1]
-    block = max(1, BLOCK_FLOATS // (3 * max(k, width)))
+    draw, k = random.Random(seed).random, space.draws
+    block = max(1, BLOCK_FLOATS // (3 * max(k, space.decode(np.zeros(k)).shape[-1])))
     witnesses: list[Witness] = []
-
-    def screen(*read):  # a test's slack less the margin of the distances it reads
-        return 0.5 * SLACK_LOG - CHART_REL_ERR * (len(read) + sum(read))
-
     for start in range(0, n_samples, block):
         b = min(block, n_samples - start)
         u = np.fromiter(starmap(draw, repeat((), 3 * k * b)), float, 3 * k * b).reshape(b, 3, k)
-        x, y, z = np.moveaxis(space.decode(u), 1, 0)
-        dxy, dyx, dxz, dyz, dxx = rho(x, y), rho(y, x), rho(x, z), rho(y, z), rho(x, x)
-        # dxx and dxy - dyx are exactly 0, in rho as in the scalar distance
-        m1, m1_self, m2, m3, reverse = _fails(
-            dxy, dyx, dxz, dyz, dxx, screen(dxy), screen(dxx), screen(abs(dxy - dyx)),
-            screen(dxz, dxy, dyz), screen(dxz, dyz, dxy))
-        # a NaN distance fails no test: the scalar check decides its row
-        undefined = ~np.isfinite(dxy + dyx + dxz + dyz + dxx)
-        for i in np.flatnonzero(m1 | m1_self | m2 | m3 | reverse | undefined):
-            replay = _Replay(u[i].ravel().tolist())
-            points = [space.sample(replay) for _ in range(3)]
-            witnesses += _axiom_witnesses(space.dist, *points, False)
+        x, y = np.moveaxis(space.decode(u[:, :2]), 1, 0)
+        gap, bound = abs(x - y), 2 * CHART_REL_ERR * (1 + abs(x) + abs(y))
+        for i in np.flatnonzero((gap <= bound).all(-1) | ~np.isfinite(gap).all(-1)):
+            replay = _Replay(u[i, :2].ravel().tolist())
+            witnesses += _chart_witness(space.dist, space.sample(replay), space.sample(replay))
     return witnesses
 
 
 def verify_axioms(space: SpaceInstance, n_samples: int, seed: int = 0) -> AxiomReport:
     """Sample triples from the space and test m1-m3 and the reverse inequality.
 
-    m1 is checked in both directions: d(x, x) must be 1, every sampled pair
-    must have d >= 1, and on a chartless space (a candidate distance under
-    test) a distance within the point-equality tolerance between points that
-    are not `==` is flagged.  A pair gets at most one m1 witness.  A space with
-    a chart and a decode is checked in numpy batches, with the same report.
+    On a chart space ln d is a norm of phi(x) - phi(y): only m1 can fail, where phi
+    is not injective, and a pair x != y at ln d = 0 exactly is its witness.  A
+    chartless space (a candidate distance under test) runs all five tests, m1 in
+    both directions: d(x, x) = 1, d >= 1, and no ln d within the point-equality
+    tolerance between points that are not `==`.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     if space.chart is not None and space.decode is not None:
-        witnesses = _chart_witnesses(space, n_samples, seed)
+        witnesses = _batched_witnesses(space, n_samples, seed)
     else:
-        rng, dist, sample = random.Random(seed), space.dist, space.sample
-        chartless, witnesses = space.chart is None, []
+        rng, dist, sample, witnesses = random.Random(seed), space.dist, space.sample, []
         for _ in range(n_samples):
             x, y, z = sample(rng), sample(rng), sample(rng)
             try:
-                witnesses += _axiom_witnesses(dist, x, y, z, chartless)
+                witnesses += (_axiom_witnesses(dist, x, y, z) if space.chart is None
+                              else _chart_witness(dist, x, y))
             except (ArithmeticError, ValueError, TypeError) as exc:
                 raise DomainError(f"distance {space.name} is undefined at {(x, y, z)!r}: "
                                   f"{exc}") from None

@@ -306,6 +306,70 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
+# hostile numbers for every float flag; the integer flags stay at most 50 so that no
+# drawn command runs long
+HOSTILE_FLOATS = ("nan", "inf", "-inf", "-0", "0", "1e309", "-1e309", "-1", "-2.5", "1e-300",
+                  "0.5", "1", "2", "1e300")
+HOSTILE_INTS = ("50", "3", "1", "0", "-0", "-1", "nan", "1e309")
+HOSTILE_FLAGS = {
+    "--problem": (*REGISTRY, "no-such-problem"),
+    "--map": (*registry.MAP_FNS, "no-such-map"),
+    "--expr": ("x/4", "sqrt(x)", "exp(x)", "1/(x-1)", "ln(x)", "x^2", "x", "nan", "y"),
+    "--expr-dist": ("1", "0", "abs(x-y)+1", "e^abs(x-y)", "e^((x-y)^2)", "x-y", "ln(x)"),
+    "--space": (*SPACE_IDS, "no-such-space"),
+    "--dim": HOSTILE_INTS,
+    "--base": HOSTILE_FLOATS,
+    "--lo": HOSTILE_FLOATS,
+    "--hi": HOSTILE_FLOATS,
+    "--kind": (*fp.KINDS, "no-such-kind"),
+    "--lambda": HOSTILE_FLOATS,
+    "--seed": ("-1", "0", "7", "nan", str(2**70)),
+    "--x0": (*HOSTILE_FLOATS, "1,2", "0.5,nan", "1.5,1", ""),
+    "--tol-log": HOSTILE_FLOATS,
+}
+#: what each command works on: one of these flags is always given
+SOURCES = {"solve": ("--problem", "--map", "--expr"),
+           "verify": ("--problem", "--map", "--expr", "--space", "--expr-dist"),
+           "estimate": ("--problem", "--map", "--expr")}
+#: the flags only one command takes
+ONLY = {"--x0": "solve", "--tol-log": "solve", "--expr-dist": "verify"}
+#: the flag that bounds each command's work, always given
+BUDGET = {"solve": "--max-iter", "verify": "--samples", "estimate": "--pairs"}
+
+
+@st.composite
+def hostile_argvs(draw):
+    """An argv of any command, on any registry problem, named map, expression or space,
+    with up to three more flags the command takes, of hostile values; examples takes
+    no flag."""
+    command = draw(st.sampled_from(("solve", "verify", "estimate", "examples")))
+    if command == "examples":
+        return [command]
+    flags = [draw(st.sampled_from(SOURCES[command]))]
+    takes = sorted(set(HOSTILE_FLAGS) - set(ONLY) | {f for f, c in ONLY.items() if c == command})
+    flags += draw(st.lists(st.sampled_from(takes), max_size=3, unique=True))
+    # --flag=value: argparse would read a value such as -inf as a flag of its own
+    argv = [command] + [f"{flag}={draw(st.sampled_from(HOSTILE_FLAGS[flag]))}"
+                        for flag in dict.fromkeys(flags)]
+    switch = {"verify": "--complex", "estimate": "--verbose"}.get(command)
+    if switch and draw(st.booleans()):
+        argv.append(switch)
+    return argv + [f"{BUDGET[command]}={draw(st.sampled_from(HOSTILE_INTS))}"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=hostile_argvs())
+def test_every_argv_exits_0_2_3_or_4(argv, tmp_path_factory):
+    # the exit-code contract: argparse's usage errors exit 2 by SystemExit, and no
+    # other exception escapes cli.main
+    out = str(tmp_path_factory.getbasetemp() / "fuzz-out")
+    try:
+        code = cli.main(argv + ["--out", out] if argv[0] != "examples" else argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv
+
+
 class TestVerify:
     def test_d_star_dim3(self, tmp_path):
         out = tmp_path / "report.json"

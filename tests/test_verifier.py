@@ -101,7 +101,7 @@ class TestVerifyAxioms:
         # one ln d at the slack, the others 0: each test fails only when missed by more
         def fails(v):
             logs = {**dict.fromkeys(("dxy", "dyx", "dxz", "dyz", "dxx"), 0.0), name: v}
-            return _fails(*logs.values(), *[SLACK_LOG] * 5)
+            return _fails(*logs.values(), SLACK_LOG)
 
         assert not any(fails(value))
         assert fails(math.nextafter(value, math.copysign(math.inf, value)))[test]
