@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import compress, count, repeat
+from operator import ge, gt, index, le, lt, ne, truediv
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -57,21 +58,41 @@ def tail_start(n: int) -> int:
 def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0) -> list:
     """max over j > k of rho(x_k, x_j) for k = start .. n-2.  On a one-coordinate
     chart this is one backward scan (float subtraction and the scale are monotone,
-    so a row's largest gap is to the largest or smallest later coordinate, bit-equal
-    to evaluating the row); elsewhere, or where the scan raises, every row is
-    evaluated in full, in order, so a failing distance raises at the same pair as a
-    pair loop."""
+    so a row's largest gap is to whichever of the largest and smallest later
+    coordinate lies farther, bit-equal to evaluating the row); elsewhere, or where
+    the scan raises, every row is evaluated in full, in order, so a failing distance
+    raises at the same pair as a pair loop."""
     chart = space.chart
     if chart is not None and chart.scalar:
         try:
             c = chart.coords(seq[start:])[::-1]
-            return list(map(max, chart.gaps(c[1:], accumulate(c, max)),
-                            chart.gaps(c[1:], accumulate(c, min))))[::-1]
+            far, hi, lo = [], c[0], c[0]
+            for x in c[1:]:
+                far.append(lo if x - lo > hi - x else hi)
+                if x > hi:
+                    hi = x
+                elif x < lo:
+                    lo = x
+            return chart.gaps(c[1:], far)[::-1]
         except Exception:  # a term or gap the scan refuses: the rows name it
             pass
     dist, n = space.dist, len(seq)
     return [max([dist(seq[k], seq[j]) for j in range(k + 1, n)])
             for k in range(start, n - 1)]
+
+
+def _dists_to(space: SpaceInstance, xs: Sequence, y, flip: bool = False) -> list:
+    """rho(x, y) for each x of xs.  Where the distance is its scalar chart's, one
+    `Chart.gaps` column against y's coordinate (plain floats; |a - b| and |b - a| are one
+    float); elsewhere, or where the column raises, one `space.dist(x, y)` per term
+    (`dist(y, x)` when flip), in order, so a failing distance raises at its pair."""
+    chart, dist = space.chart, space.dist
+    if chart is not None and chart.scalar and dist is chart.dist:
+        try:
+            return chart.gaps(chart.coords(xs), repeat(chart.coords([y])[0]))
+        except Exception:  # a term or gap the column refuses: the calls name it
+            pass
+    return [dist(y, x) for x in xs] if flip else [dist(x, y) for x in xs]
 
 
 def convergence_diagnostic(seq: Sequence, limit, space: SpaceInstance,
@@ -82,14 +103,12 @@ def convergence_diagnostic(seq: Sequence, limit, space: SpaceInstance,
     if not (tol_log > 0):
         raise InputError(f"tol_log must be positive, got {tol_log}")
     start = tail_start(len(seq))
-    worst_i, worst = None, -1.0
-    for i in range(start, len(seq)):
-        rho = space.dist(seq[i], limit)
-        if rho > worst:
-            worst_i, worst = i, rho
+    tail = _dists_to(space, seq[start:], limit)
+    worst = max(tail)  # the first of the largest, as the witness
     if worst <= tol_log:
         return SeqDiagnostic(True, detail=f"tail max ln d = {worst:.3e} <= {tol_log:.3e}")
-    return SeqDiagnostic(False, worst_i, worst,
+    worst_i = start + tail.index(worst)
+    return SeqDiagnostic(False, worst_i, MulDistance(worst),
                          f"ln d(x_{worst_i}, limit) = {worst:.3e} > {tol_log:.3e}")
 
 
@@ -102,24 +121,26 @@ def cauchy_diagnostic(seq: Sequence, space: SpaceInstance, tol_log: float,
         raise InputError(f"tol_log must be nonnegative, got {tol_log}")
     if window is None:
         window = len(seq) - tail_start(len(seq))
+    try:
+        window = index(window)
+    except TypeError:
+        raise InputError(f"window must be an integer, got {window!r}") from None
     if window < 1:
         raise InputError("window must be >= 1")
     if window > len(seq):
         raise InputError(f"window {window} exceeds sequence length {len(seq)}")
     start = len(seq) - window
     maxima = _row_maxima(seq, space, start)
-    worst, worst_pair = 0.0, None
+    worst = 0.0
     if maxima:
         # the witness is the first pair at the largest value, in the first row holding it
         i = start + maxima.index(max(maxima))
-        for j in range(i + 1, len(seq)):
-            rho = space.dist(seq[i], seq[j])
-            if rho > worst:
-                worst, worst_pair = rho, (i, j)
+        row = _dists_to(space, seq[i + 1:], seq[i], flip=True)
+        worst = max(row)
     if worst <= tol_log:
         return SeqDiagnostic(True, detail=f"window max ln d = {worst:.3e} <= {tol_log:.3e}")
-    i, j = worst_pair
-    return SeqDiagnostic(False, i, worst,
+    j = i + 1 + row.index(worst)
+    return SeqDiagnostic(False, i, MulDistance(worst),
                          f"ln d(x_{i}, x_{j}) = {worst:.3e} > {tol_log:.3e}")
 
 
@@ -130,17 +151,18 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
     M = max{2, distances of the earlier elements to the center}, a DomainError beyond
     the floats.  Every element then satisfies d(x_n, x_n0) <= M.  Tails are nested, so
     n0 is one past the last index k with some d(x_k, x_j) >= 2, j > k.  On a
-    one-coordinate chart the row maxima come from one O(n) scan; elsewhere every row
-    of the upper triangle is evaluated in full, so a call costs n(n-1)/2 + n distances
-    whatever the terms are.
+    one-coordinate chart the row maxima come from one O(n) scan of the coordinates, and
+    the row to the center is one `Chart.gaps` column (n distance calls where `dist` is
+    wrapped); elsewhere every row of the upper triangle is evaluated in full, so a call
+    costs n(n-1)/2 + n distances whatever the terms are.
     """
     if len(seq) == 0:
         raise InputError("empty sequence")
     ln2 = math.log(2.0)
     n0 = max([k + 1 for k, m in enumerate(_row_maxima(seq, space)) if not m < ln2], default=0)
-    row = [space.dist(x, seq[n0]) for x in seq]
+    row = _dists_to(space, seq, seq[n0])
     m_log = max([ln2] + row[:n0])
-    assert all(r <= m_log + 1e-12 for r in row)
+    assert all(map(le, row, repeat(m_log + 1e-12)))
     try:
         return BoundReport(center_index=n0, M=math.exp(m_log))
     except OverflowError:
@@ -151,18 +173,26 @@ def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[floa
                     supremum: bool) -> SeqDiagnostic:
     if len(A) == 0:
         raise InputError("empty set")
-    if not (cand > 0) or any(not (a > 0) for a in A):
+    if not (cand > 0) or not all(map(gt, A, repeat(0))):
         raise InputError("all elements and the candidate must be positive")
-    if any(not (eps > 1) for eps in eps_schedule):
+    if not all(map(gt, eps_schedule, repeat(1))):
         raise InputError("every epsilon in the schedule must exceed 1")
     elems = list(A)
     word = "sup" if supremum else "inf"
-    for i, a in enumerate(elems):
-        if (supremum and a > cand) or (not supremum and a < cand):
-            return SeqDiagnostic(False, i, mabs(cand / a),
-                                 f"element {a} violates the {word} bound {cand}")
+    i = next(compress(count(), map(gt if supremum else lt, elems, repeat(cand))), None)
+    if i is not None:
+        return SeqDiagnostic(False, i, mabs(cand / elems[i]),
+                             f"element {elems[i]} violates the {word} bound {cand}")
     # an empty schedule never looks at the gaps (one may underflow to a DomainError)
-    closest = min([mabs(cand / a) for a in elems]) if len(eps_schedule) else None
+    closest = None
+    if len(eps_schedule):
+        try:  # log refuses a ratio of 0 and passes inf / inf: mabs names either
+            gaps = list(map(math.fabs, map(math.log, map(truediv, repeat(cand), elems))))
+            if math.isnan(sum(gaps)):
+                raise ValueError
+        except ValueError:
+            gaps = [mabs(cand / a) for a in elems]
+        closest = MulDistance(min(gaps))
     for k, eps in enumerate(eps_schedule):
         if closest >= math.log(eps):
             return SeqDiagnostic(False, k, closest,
@@ -201,17 +231,12 @@ def monotone_subsequence(seq: Sequence[float]) -> list[int]:
             running_max = seq[i]
     peaks.reverse()
 
-    chain = []
-    peak_set = set(peaks)
-    i = next((k for k in range(n) if k not in peak_set), None)
-    if i is not None:
-        chain.append(i)
-        while True:
-            j = next((k for k in range(i + 1, n) if seq[k] >= seq[i]), None)
-            if j is None:
-                break
-            chain.append(j)
-            i = j
+    # peaks ascend from 0: the first non-peak is the first k with peaks[k] != k
+    i = next(compress(count(), map(ne, peaks, count())), len(peaks))
+    chain = [i] if i < n else []
+    for k in range(i + 1, n):  # the chain grows by each term at least its last one
+        if seq[k] >= seq[chain[-1]]:
+            chain.append(k)
     return chain if len(chain) > len(peaks) else peaks
 
 
@@ -231,7 +256,7 @@ def bw_extract(seq: Sequence[float], M: float) -> tuple[list[int], float]:
             raise InputError(f"element {x} at index {i} violates bound [{1/M}, {M}]")
     idx = monotone_subsequence(seq)
     vals = [seq[i] for i in idx]
-    non_decreasing = all(b >= a for a, b in zip(vals, vals[1:]))
+    non_decreasing = all(map(ge, vals[1:], vals))
     limit = max(vals) if non_decreasing else min(vals)
     return idx, limit
 

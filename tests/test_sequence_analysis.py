@@ -2,13 +2,14 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulmetric import spaces
 from mulmetric.errors import DomainError, InputError
-from mulmetric.metric_core import MulDistance, PosVec, RealVec, SegmentPoint
+from mulmetric.metric_core import MulDistance, PosVec, RealVec, SegmentPoint, mabs
 from mulmetric.sequence_analysis import (
     BoundReport,
     SeqDiagnostic,
@@ -67,6 +68,91 @@ def former_bounded_diagnostic(seq, space):
     m_log = max([ln2] + row[:n0])
     assert all(r <= m_log + 1e-12 for r in row)
     return BoundReport(center_index=n0, M=math.exp(m_log))
+
+
+def former_convergence_diagnostic(seq, limit, space, tol_log):
+    """convergence_diagnostic's former loop over the tail, kept verbatim as the oracle."""
+    if len(seq) == 0:
+        raise InputError("empty sequence")
+    if not (tol_log > 0):
+        raise InputError(f"tol_log must be positive, got {tol_log}")
+    start = tail_start(len(seq))
+    worst_i, worst = None, -1.0
+    for i in range(start, len(seq)):
+        rho = space.dist(seq[i], limit)
+        if rho > worst:
+            worst_i, worst = i, rho
+    if worst <= tol_log:
+        return SeqDiagnostic(True, detail=f"tail max ln d = {worst:.3e} <= {tol_log:.3e}")
+    return SeqDiagnostic(False, worst_i, worst,
+                         f"ln d(x_{worst_i}, limit) = {worst:.3e} > {tol_log:.3e}")
+
+
+def former_check_extremum(A, cand, eps_schedule, supremum):
+    """_check_extremum's former per-element loops, kept verbatim as the oracle."""
+    if len(A) == 0:
+        raise InputError("empty set")
+    if not (cand > 0) or any(not (a > 0) for a in A):
+        raise InputError("all elements and the candidate must be positive")
+    if any(not (eps > 1) for eps in eps_schedule):
+        raise InputError("every epsilon in the schedule must exceed 1")
+    elems = list(A)
+    word = "sup" if supremum else "inf"
+    for i, a in enumerate(elems):
+        if (supremum and a > cand) or (not supremum and a < cand):
+            return SeqDiagnostic(False, i, mabs(cand / a),
+                                 f"element {a} violates the {word} bound {cand}")
+    # an empty schedule never looks at the gaps (one may underflow to a DomainError)
+    closest = min([mabs(cand / a) for a in elems]) if len(eps_schedule) else None
+    for k, eps in enumerate(eps_schedule):
+        if closest >= math.log(eps):
+            return SeqDiagnostic(False, k, closest,
+                                 f"no element within multiplicative eps={eps} of {word}={cand}")
+    return SeqDiagnostic(True, detail=f"{word} characterization holds for {cand}")
+
+
+def former_monotone_subsequence(seq):
+    """monotone_subsequence's former peak loop and generator chain, kept verbatim as
+    the oracle."""
+    n = len(seq)
+    if n == 0:
+        raise InputError("empty sequence")
+    peaks = []
+    running_max = -math.inf
+    for i in range(n - 1, -1, -1):
+        if seq[i] >= running_max:
+            peaks.append(i)
+            running_max = seq[i]
+    peaks.reverse()
+
+    chain = []
+    peak_set = set(peaks)
+    i = next((k for k in range(n) if k not in peak_set), None)
+    if i is not None:
+        chain.append(i)
+        while True:
+            j = next((k for k in range(i + 1, n) if seq[k] >= seq[i]), None)
+            if j is None:
+                break
+            chain.append(j)
+            i = j
+    return chain if len(chain) > len(peaks) else peaks
+
+
+def former_bw_extract(seq, M):
+    """bw_extract's former loops, kept verbatim as the oracle."""
+    if len(seq) == 0:
+        raise InputError("empty sequence")
+    if not (M > 1):
+        raise InputError(f"bound M must exceed 1, got {M}")
+    for i, x in enumerate(seq):
+        if not (1.0 / M <= x <= M):
+            raise InputError(f"element {x} at index {i} violates bound [{1/M}, {M}]")
+    idx = former_monotone_subsequence(seq)
+    vals = [seq[i] for i in idx]
+    non_decreasing = all(b >= a for a, b in zip(vals, vals[1:]))
+    limit = max(vals) if non_decreasing else min(vals)
+    return idx, limit
 
 
 def outcome(fn, *args, **kwargs):
@@ -137,6 +223,16 @@ class TestCauchyDiagnostic:
     def test_window_too_large(self):
         with pytest.raises(InputError):
             cauchy_diagnostic([1.0, 2.0], POS, tol_log=1e-3, window=5)
+
+    @pytest.mark.parametrize("window", [2.5, 2.0, "3", [2]], ids=repr)
+    def test_a_window_that_is_no_integer_is_an_input_error(self, window):
+        with pytest.raises(InputError, match=r"^window must be an integer, got "):
+            cauchy_diagnostic([1.0, 2.0, 4.0], POS, 0.1, window=window)
+
+    def test_an_integer_like_window_is_its_integer(self):
+        seq = [1.0, 2.0, 4.0]
+        assert (cauchy_diagnostic(seq, POS, 0.1, window=np.int64(2))
+                == cauchy_diagnostic(seq, POS, 0.1, window=2))
 
     @pytest.mark.parametrize("seq", [[1.0], [1.0, 2.0, 3.0]])
     @pytest.mark.parametrize("tol", [-2.0, -0.5, math.nan])
@@ -342,6 +438,115 @@ class TestRowEvaluation:
         pairs, window, tol, bad = case
         seq = [bad_point if k == bad else point(u, v) for k, (u, v) in enumerate(pairs)]
         assert_matches_the_pair_loops(seq, space, tol, window)
+
+    def test_an_asymmetric_distance_is_called_in_the_pair_loops_order(self):
+        # a candidate distance under test need not be symmetric: every loop calls
+        # dist(x_k, x_j) with k < j, and dist(x_k, limit)
+        def dist(a, b):
+            return MulDistance(2.0 * max(a - b, 0.0) + max(b - a, 0.0))
+
+        space = spaces.SpaceInstance("asymmetric", POS.sample, dist=dist)
+        for seq in ([1.0, 3.0, 2.0, 0.0, 5.0], [5.0, 0.0, 2.0, 3.0, 1.0] * 3):
+            assert_matches_the_pair_loops(seq, space, 0.5, None)
+            assert_same_repr(cauchy_diagnostic(seq, space, 0.5),
+                             former_cauchy_diagnostic(seq, space, 0.5))
+            assert_same_repr(convergence_diagnostic(seq, 2.5, space, 0.5),
+                             former_convergence_diagnostic(seq, 2.5, space, 0.5))
+
+
+def assert_same_repr(got, expected):
+    """Equal by repr: a plain float where a MulDistance was, or another error, shows."""
+    assert repr(got) == repr(expected)
+
+
+def counted(space):
+    """The space with its distance wrapped (as a call counter would): no chart column."""
+    return dataclasses.replace(space, dist=lambda a, b: space.dist(a, b))
+
+
+def assert_matches_the_former_loops(seq, cand, M):
+    """The float-sequence diagnostics against their former loops, candidate cand for
+    sup and inf (with the diagnose schedule, an empty one and a wide one) and bound M
+    for bw_extract."""
+    for supremum, check in ((True, check_supremum), (False, check_infimum)):
+        for schedule in ((2.0, 1.1, 1.001), (), (1e300,)):
+            assert_same_repr(outcome(check, seq, cand, schedule),
+                             outcome(former_check_extremum, seq, cand, schedule, supremum))
+    assert_same_repr(outcome(monotone_subsequence, seq),
+                     outcome(former_monotone_subsequence, seq))
+    assert_same_repr(outcome(bw_extract, seq, M), outcome(former_bw_extract, seq, M))
+
+
+TIED = [2.0, 2.0, 1.0, 2.0, 3.0, 3.0, 1.0, 3.0]
+
+
+class TestFormerLoops:
+    """Each diagnostic against its former per-term loop, by repr and by error."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_COORDINATE))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=unit_sequences(), at=st.floats(0.0, 1.0))
+    @example(case=([0.3], None, 0.0), at=0.3)
+    @example(case=([0.3, 0.8], None, 0.5), at=0.8)
+    @example(case=([0.2, 0.9] * 10, None, 0.0), at=0.55)
+    def test_distance_rows(self, name, case, at):
+        space, point = ONE_COORDINATE[name]
+        units, window, tol = case
+        seq, limit = [point(u) for u in units], point(at)
+        for path in (space, without_chart(space), counted(space)):
+            assert_same_repr(outcome(convergence_diagnostic, seq, limit, path, tol + 0.25),
+                             outcome(former_convergence_diagnostic, seq, limit, path,
+                                     tol + 0.25))
+            assert_same_repr(outcome(cauchy_diagnostic, seq, path, tol, window),
+                             mended(outcome(former_cauchy_diagnostic, seq, path, tol, window)))
+
+    @pytest.mark.parametrize("space, seq, limit", [
+        (POS, [2.0, math.nan, 3.0] * 4, 2.0),
+        (POS, [2.0] * 12, math.nan),
+        (POS, [2.0, 0.0] * 6, 1.0),
+        (spaces.real_line_exp(), [1.0, math.nan] * 6, 0.0),
+        (spaces.real_line_exp(), [1e308, -1e308] * 6, 0.0),
+        (POS, [2.0, 0.5] * 6, 1.0),
+        (POS, [2.0], 1.0),
+        (POS, [2.0, 1.0], 2.0),
+    ], ids=["nan-term", "nan-limit", "zero-term", "nan-on-the-line", "overflowing-sum",
+            "tied-tail", "length-1", "length-2"])
+    def test_convergence_cases(self, space, seq, limit):
+        for path in (space, counted(space)):
+            assert_same_repr(outcome(convergence_diagnostic, seq, limit, path, 0.5),
+                             outcome(former_convergence_diagnostic, seq, limit, path, 0.5))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=unit_sequences(), at=st.floats(0.0, 1.0), spread=st.floats(0.5, 5.0))
+    def test_float_sequences(self, case, at, spread):
+        units = case[0]
+        seq = [math.exp(8.0 * u - 4.0) for u in units]
+        for cand in (math.exp(8.0 * at - 4.0), max(seq), min(seq)):
+            assert_matches_the_former_loops(seq, cand, math.exp(spread))
+
+    @pytest.mark.parametrize("seq, cand", [
+        (TIED, 3.0),
+        (TIED, 1.0),
+        ([1.0, 2.0, 2.0], 2.0),
+        ([2.0, 3.0, 2.0], 2.0),
+        ([1e300, 1e-10], 1e-300),
+        ([1e-300, 1.0], 1e300),
+        ([1e-300], 1e300),
+        ([math.inf], math.inf),
+        ([1.0, math.inf], 1.0),
+        ([2.0, math.nan, 1.0], 2.0),
+        ([math.nan], 1.0),
+        ([1.0], 1.0),
+        ([1.0, 1.0], 1.0),
+        ([2.0, 1.0], 1.5),
+        ([1, 2, 3], 3),
+    ], ids=["ties-at-max", "ties-at-min", "term-equals-sup", "term-equals-inf",
+            "ratio-underflows", "ratio-overflows", "every-ratio-overflows", "ratio-nan",
+            "infinite-term", "nan-term", "only-nan", "length-1", "length-2-tied",
+            "length-2", "ints"])
+    def test_float_cases(self, seq, cand):
+        for M in (4.0, 3.0, 1e300):
+            assert_matches_the_former_loops(seq, cand, M)
 
 
 class TestSupInfCharacterization:
@@ -596,6 +801,17 @@ class TestBoundaries:
     def test_peaks_win_a_tie_with_the_chain(self):
         # peaks [1, 2] (3.0, 2.0) and the chain [0, 1] (1.0, 3.0) are both two long
         assert monotone_subsequence([1.0, 3.0, 2.0]) == [1, 2]
+
+    @pytest.mark.parametrize("check, A", [(check_supremum, [1.0, 2.0]),
+                                          (check_infimum, [2.0, 3.0])], ids=["sup", "inf"])
+    def test_a_term_equal_to_the_candidate_keeps_its_bound(self, check, A):
+        assert check(A, 2.0, [1.5]).verdict
+
+    def test_terms_on_the_bound_lie_inside_it(self):
+        assert bw_extract([4.0, 0.25], 4.0) == ([0, 1], 0.25)
+        for x in (math.nextafter(4.0, 5.0), math.nextafter(0.25, 0.0)):
+            with pytest.raises(InputError, match=f"^element {x!r} at index 1 violates bound"):
+                bw_extract([1.0, x], 4.0)
 
     def test_bw_bound_must_exceed_one(self):
         assert bw_extract([1.0], math.nextafter(1.0, 2.0)) == ([0], 1.0)
