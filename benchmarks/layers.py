@@ -1,56 +1,53 @@
-"""Per-layer timings of the spaces and the axiom verifier, for two checkouts.
+"""Per-layer A/B timings of the parent revision against this tree, in one interpreter.
 
     python benchmarks/layers.py                 # parent = HEAD~1, change = this tree
     python benchmarks/layers.py --parent HEAD   # before committing a change
 
-Writes BENCH_layers.json at the repository root with, for the parent
-revision (exported with `git archive` into a temporary directory) and for
-this working tree:
+Exports the parent revision with `git archive` and imports its `src/mulmetric`
+and this tree's COPIES times each, every copy under a package name of its own;
+each probe is built from its own copy's modules, so no object crosses trees.
+The probes cost microseconds per unit (call, sample, pair, Picard step, trace
+step or witness) of the spaces, the registry problems, the sequence
+diagnostics, the CLI and the criterion-5 axiom suite; README lists them.
 
-- `sample_us`, `dist_us`: one scalar `sample` / `dist` call per space, in
-  microseconds (the samplers and distances `solve`, `estimate` and
-  `verify --problem` call one point at a time);
-- `verify_us_per_sample`: `verify --space`'s axiom check per sampled triple;
-- per registry problem, `verify_us_per_sample` of `verify --problem` (one
-  contraction check per sampled pair) and `estimate_us_per_pair` of
-  `estimate --problem`, each a whole `cli.main` call divided by its sample
-  count, so that the same probe runs on any revision with this CLI;
-- `fixed_point`: per registry problem, `solve_us_per_step`, one `fixed_point.solve`
-  call from the problem's start (what `solve --problem` runs, without parsing
-  or JSON) divided by the Picard steps in its trace;
-- `sequence_analysis`: `bounded_diagnostic_us` and `cauchy_diagnostic_us`, one
-  call each on a pos-reals sequence of n = 50, 200 and 800 terms;
-- `cli`: `examples_us`, one in-process `cli.main(["examples"])` call (argument
-  parsing and the registry listing); `main_us_per_step` and
-  `main_us_per_witness`, one whole in-process `cli.main` call with `--out`
-  for a seeded solve trace and a seeded `verify --expr-dist` report (the
-  solve or the verification included) divided by their steps and witnesses,
-  and `dumps_us_per_step` / `dumps_us_per_witness`, json.dumps with indent=2
-  on the JSON those calls wrote, read back;
-- `calibration`: the median of 21 runs of perfbench's calibration kernel
-  (`calib.time_kernel`) in the same probe, in milliseconds: a layer figure
-  divided by its side's `kernel_ms` reads speed-normalised;
-- `criterion_5_s`: tests/test_acceptance.py::test_criterion_5_axiom_suite.
+Each probe is warmed up once per side and copy and gets one repeat count, from
+the first copy's faster warm-up, so that a timed call takes at least
+MIN_CALL_S on both sides.  Then come PAIRS_PER_COPY pairs per copy, the side
+that goes first swapped every pair: the host's speed drifts between pairs, not
+within one, so no calibration kernel is needed.  Identical code in two copies
+can differ by a few per cent in one process (where it lies in memory), so the
+copies are built in turn, the first side swapped each copy, and the bootstrap
+resamples whole copies.
 
-Each figure is the minimum over ROUNDS runs that alternate the two trees, each
-run in a fresh interpreter, because the host's speed drifts between runs.
+Writes BENCH_layers.json at the repository root: the machine, the parent
+revision and, per probe, the repeat count, each side's median cost per unit,
+the median per-pair ratio change/parent and its 99 % bootstrap interval.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
 import io
 import json
+import math
 import os
 import platform
-import re
+import random
+import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+from collections import deque
+from itertools import product, repeat, starmap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROUNDS = 5
+COPIES, PAIRS_PER_COPY, MIN_CALL_S = 20, 16, 1e-3
+RESAMPLES, LEVEL = 2000, 0.99
+SIDES = ("parent", "change")
 
 # name -> (space id, build keywords, verifier samples); one entry per CLI space
 SPACES = {
@@ -67,118 +64,124 @@ SPACES = {
 }
 REGISTRY_IDS = ("paper-scalar", "paper-segment", "sqrt-toy", "quarter-kannan",
                 "quarter-chatterjea")
-# sampled pairs per `verify --problem` / `estimate --problem` call
-PROBLEM_SAMPLES = 2000
+PROBLEM_SAMPLES = 2000  # sampled pairs per `verify --problem` / `estimate --problem` call
 
-# run inside the measured tree: prints one JSON object of per-space and
-# per-problem timings
-PROBE = r"""
-import contextlib, io, json, math, os, random, statistics, sys, tempfile, time
-from mulmetric import cli, fixed_point, registry, sequence_analysis, spaces
-from mulmetric.verifier import verify_axioms
-from perfbench import calib
 
-def per_call_us(fn, args, calls):
-    best = float("inf")
-    for _ in range(7):
-        t0 = time.perf_counter()
-        for a in args * (calls // len(args)):
-            fn(*a)
-        best = min(best, (time.perf_counter() - t0) / (calls // len(args) * len(args)))
-    return best * 1e6
+def load(name: str, tree: str):
+    """The package `tree`/src/mulmetric imported as `name`, with the submodules probed."""
+    package = os.path.join(tree, "src", "mulmetric")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("cli", "sequence_analysis"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
 
-def adaptive_us(fn, budget_s=0.02):
-    t0 = time.perf_counter()
-    fn()
-    return per_call_us(fn, [()], max(1, int(budget_s / (time.perf_counter() - t0))))
 
-def best_s(fn, repeats=5):
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def each(fn, args):
+    """A probe calling fn(*a) for each a of args, looped in C."""
+    return lambda: deque(starmap(fn, args), 0)
 
-def cli_run(argv):
+
+def quiet(cli, argv):
+    """cli.main(argv) with stdout discarded; it must exit 0."""
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
             raise SystemExit(f"{argv} failed")
 
-space_table, problem_ids, n_pairs = json.loads(sys.argv[1])
-out = {"spaces": {}, "problems": {}, "fixed_point": {}, "sequence_analysis": {}, "cli": {},
-       "calibration": {"kernel": {"kernel_ms": statistics.median(
-           calib.time_kernel() for _ in range(21)) * 1e3}}}
-for name, (space_id, kw, n) in space_table.items():
-    sp = spaces.build(space_id, **kw)
-    rng = random.Random(1)
-    points = [sp.sample(rng) for _ in range(64)]
-    pairs = [(points[i], points[(7 * i + 3) % 64]) for i in range(64)]
-    calls = 640 if name == "func-sup" else 64000
-    rngs = [(random.Random(2),)]
-    verify_s = best_s(lambda: verify_axioms(sp, n, seed=1))
-    out["spaces"][name] = {"sample_us": per_call_us(sp.sample, rngs, calls // 4),
-                           "dist_us": per_call_us(sp.dist, pairs, calls),
-                           "verify_us_per_sample": verify_s / n * 1e6}
-for pid in problem_ids:
-    common = ["--problem", pid, "--seed", "1"]
-    verify_s = best_s(lambda: cli_run(["verify", *common, "--samples", str(n_pairs),
-                                       "--out", os.devnull]))
-    estimate_s = best_s(lambda: cli_run(["estimate", *common, "--pairs", str(n_pairs)]))
-    out["problems"][pid] = {"verify_us_per_sample": verify_s / n_pairs * 1e6,
-                            "estimate_us_per_pair": estimate_s / n_pairs * 1e6}
-for pid in problem_ids:
-    pd = registry.REGISTRY[pid].problem
-    map_ = registry.build_selfmap(pd, registry.build_space(pd))
-    args = (map_, registry.decode_point(pd, pd.x0), fixed_point.ContractionSpec(pd.kind, pd.lam),
-            pd.tol_log, pd.max_iter)
-    steps = len(fixed_point.solve(*args).trace)
-    out["fixed_point"][pid] = {
-        "solve_us_per_step": adaptive_us(lambda: fixed_point.solve(*args)) / steps}
-pos, seq_rng = spaces.positive_reals(), random.Random(3)
-for n in (50, 200, 800):
-    # a converging sequence; its bounded_diagnostic centre is near index 15
-    seq = [math.exp(3.0 * 0.9**k * seq_rng.uniform(-1, 1)) for k in range(n)]
-    out["sequence_analysis"][f"n={n}"] = {
-        "bounded_diagnostic_us": adaptive_us(
-            lambda: sequence_analysis.bounded_diagnostic(seq, pos)),
-        "cauchy_diagnostic_us": adaptive_us(
-            lambda: sequence_analysis.cauchy_diagnostic(seq, pos, 1e-3))}
-with tempfile.TemporaryDirectory() as tmp:
+
+def probes(mm, tmp: str):
+    """(name, probe, units) of every probe, built from package `mm` one at a time;
+    `tmp` is a directory of this side's own for the files the CLI writes."""
+    spaces, verify, sa = mm.spaces, mm.verifier.verify_axioms, mm.sequence_analysis
+    for name, (space_id, kw, n) in SPACES.items():
+        sp = spaces.build(space_id, **kw)
+        rng = random.Random(1)
+        points = [sp.sample(rng) for _ in range(64)]
+        pairs = [(points[i], points[(7 * i + 3) % 64]) for i in range(64)]
+        yield f"spaces/{name}/sample_us", each(sp.sample, [(random.Random(2),)] * 64), 64
+        yield f"spaces/{name}/dist_us", each(sp.dist, pairs), 64
+        yield f"spaces/{name}/verify_us_per_sample", each(verify, [(sp, n, 1)]), n
+    for pid, (probe, argv) in product(REGISTRY_IDS, (
+            ("verify_us_per_sample", ["verify", "--out", os.devnull, "--samples"]),
+            ("estimate_us_per_pair", ["estimate", "--pairs"]))):
+        argv = [*argv, str(PROBLEM_SAMPLES), "--problem", pid, "--seed", "1"]
+        yield f"problems/{pid}/{probe}", each(quiet, [(mm.cli, argv)]), PROBLEM_SAMPLES
+    reg, fp = mm.registry, mm.fixed_point
+    for pid in REGISTRY_IDS:
+        pd = reg.REGISTRY[pid].problem
+        args = (reg.build_selfmap(pd, reg.build_space(pd)), reg.decode_point(pd, pd.x0),
+                fp.ContractionSpec(pd.kind, pd.lam), pd.tol_log, pd.max_iter)
+        yield (f"fixed_point/{pid}/solve_us_per_step", each(fp.solve, [args]),
+               len(fp.solve(*args).trace))
+    pos, seq_rng = spaces.positive_reals(), random.Random(3)
+    for n in (50, 200, 800):
+        # a converging sequence; its bounded_diagnostic centre is near index 15
+        seq = [math.exp(3.0 * 0.9**k * seq_rng.uniform(-1, 1)) for k in range(n)]
+        for diag, args in (("bounded", (seq, pos)), ("cauchy", (seq, pos, 1e-3))):
+            yield (f"sequence_analysis/n={n}/{diag}_diagnostic_us",
+                   each(getattr(sa, f"{diag}_diagnostic"), [args]), 1)
     for name, unit, key, argv in [
             ("trace", "step", "steps",
              ["solve", "--expr", "2*x^0.95", "--lambda", "0.95", "--x0", "30"]),
             ("report", "witness", "witnesses",
              ["verify", "--expr-dist", "e^((x-y)^2)", "--samples", "1000", "--seed", "1"])]:
         argv = [*argv, "--out", os.path.join(tmp, name + ".json")]
-        main_s = best_s(lambda: cli.main(argv))
+        mm.cli.main(argv)
         with open(argv[-1]) as fh:
             payload = json.load(fh)
-        count = len(payload[key])
-        out["cli"][name] = {
-            f"main_us_per_{unit}": main_s / count * 1e6,
-            f"dumps_us_per_{unit}": best_s(lambda: json.dumps(payload, indent=2)) / count * 1e6}
-out["cli"]["examples"] = {"examples_us": adaptive_us(lambda: cli_run(["examples"]))}
-print(json.dumps(out))
-"""
+        yield f"cli/{name}/main_us_per_{unit}", each(mm.cli.main, [(argv,)]), len(payload[key])
+        yield (f"cli/{name}/dumps_us_per_{unit}", lambda p=payload: json.dumps(p, indent=2),
+               len(payload[key]))
+    yield "cli/examples/examples_us", each(quiet, [(mm.cli, ["examples"])]), 1
+    # the calls of tests/test_acceptance.py::test_criterion_5_axiom_suite
+    suite = [(space, 10**4, 5) for space in (
+        spaces.positive_vectors(1), spaces.positive_vectors(3), spaces.positive_vectors(8),
+        spaces.exp_metric(2, base=2.0), spaces.exp_metric(2, base=math.e),
+        spaces.exp_metric(2, base=2.0, complex_coords=True),
+        spaces.exp_metric(2, base=math.e, complex_coords=True),
+        spaces.product_space(spaces.positive_reals(), spaces.positive_reals()),
+        spaces.function_space(0.0, 1.0, n_grid=256), spaces.segment_space())]
+    bad = spaces.SpaceInstance("e^((x-y)^2)", lambda rng: float(rng.randint(-3, 3)),
+                               dist=lambda x, y: math.exp((x - y) ** 2))
+    yield "acceptance/criterion_5/suite_us", each(verify, [*suite, (bad, 10**3, 5)]), 1
 
 
-def run_probe(tree: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
-    table = json.dumps([SPACES, REGISTRY_IDS, PROBLEM_SAMPLES])
-    proc = subprocess.run([sys.executable, "-c", PROBE, table], env=env,
-                          capture_output=True, text=True, check=True, cwd=tree)
-    return json.loads(proc.stdout)
+def timed(probe, reps: int) -> float:
+    t0 = time.perf_counter()
+    for _ in repeat(None, reps):
+        probe()
+    return time.perf_counter() - t0
 
 
-def criterion_5_seconds(tree: str) -> float:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    test = "tests/test_acceptance.py::test_criterion_5_axiom_suite"
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--durations=1", "--durations-min=0", test],
-                          env=env, capture_output=True, text=True, check=True, cwd=tree)
-    return float(re.search(r"([0-9.]+)s call", proc.stdout).group(1))
+def interval(blocks: list[list[float]]) -> tuple[float, float]:
+    """The LEVEL bootstrap interval of the median ratio: each of RESAMPLES resamples
+    (seed 0) draws whole blocks, one per copy, so the spread between copies counts."""
+    rng, k = random.Random(0), len(blocks)
+    medians = sorted(statistics.median([r for block in rng.choices(blocks, k=k) for r in block])
+                     for _ in range(RESAMPLES))
+    tail = (1 - LEVEL) / 2 * RESAMPLES
+    return medians[int(tail)], medians[math.ceil(RESAMPLES - tail) - 1]
+
+
+def measure(copies: list[dict]) -> dict:
+    """The A/B record of one probe; `copies` holds {side: (probe, units)} per loaded copy."""
+    reps, costs = None, {side: [] for side in SIDES}
+    for copy in copies:
+        warm = min(timed(probe, 1) for probe, _ in copy.values())
+        reps = reps or max(1, math.ceil(MIN_CALL_S / warm))
+        for pair in range(PAIRS_PER_COPY):
+            for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+                probe, units = copy[side]
+                costs[side].append(timed(probe, reps) / reps / units)
+    ratios = [b / a for a, b in zip(*costs.values())]
+    lo, hi = interval([ratios[i:i + PAIRS_PER_COPY]
+                       for i in range(0, len(ratios), PAIRS_PER_COPY)])
+    medians = {side: round(statistics.median(c) * 1e6, 4) for side, c in costs.items()}
+    return {"reps": reps, **medians, "ratio": round(statistics.median(ratios), 4),
+            "ci99": [round(lo, 4), round(hi, 4)]}
 
 
 def machine() -> dict:
@@ -204,36 +207,31 @@ def export(rev: str, dest: str) -> str:
     return rev
 
 
-def merge_min(acc: dict, new: dict):
-    for section, entries in new.items():
-        for name, figures in entries.items():
-            slot = acc.setdefault(section, {}).setdefault(name, {})
-            for key, value in figures.items():
-                slot[key] = round(min(value, slot.get(key, value)), 3)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as parent:
-        rev = export(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
-        layers = {side: {} for side in trees}
-        crit5 = {side: float("inf") for side in trees}
-        for r in range(ROUNDS):
-            order = list(trees) if r % 2 == 0 else list(reversed(trees))
-            for side in order:
-                merge_min(layers[side], run_probe(trees[side]))
-                crit5[side] = min(crit5[side], criterion_5_seconds(trees[side]))
-    result = {"machine": machine(), "parent_rev": rev, "rounds": ROUNDS,
-              "parent": {"criterion_5_s": crit5["parent"], **layers["parent"]},
-              "change": {"criterion_5_s": crit5["change"], **layers["change"]}}
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        rev = export(args.parent, os.path.join(tmp, "parent"))
+        trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        # copy k of both trees, loaded and built in turn, the first side swapped each copy
+        order = [(k, side) for k in range(COPIES) for side in (SIDES[::-1] if k % 2 else SIDES)]
+        builds = [probes(load(f"mulmetric_{side}_{k}", trees[side]), tempfile.mkdtemp(dir=tmp))
+                  for k, side in order]
+        for row in zip(*builds):
+            copies = [{} for _ in range(COPIES)]
+            for (k, side), (name, probe, units) in zip(order, row):
+                copies[k][side] = (probe, units)
+            r = results[name] = measure(copies)
+            print(f"{name:52} {r['ratio']:.4f} {r['ci99']}", file=sys.stderr, flush=True)
+    result = {"machine": machine(), "parent_rev": rev, "copies": COPIES,
+              "pairs_per_copy": PAIRS_PER_COPY, "min_call_s": MIN_CALL_S,
+              "resamples": RESAMPLES, "level": LEVEL, "probes": results}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(json.dumps({side: result[side]["criterion_5_s"] for side in trees}))
     return 0
 
 

@@ -11,7 +11,8 @@ flipping that operator (< and <=, > and >=, == and !=), the rest of the file
 byte for byte unchanged.  Each mutant runs the Tier-1 suite with `-x` in a
 temporary copy of the tree: a failing or timed-out suite kills it, a
 passing one lets it survive.  The unchanged copy runs first and must pass.
-(perfbench/ is copied too: a test reads the tracer's name lists from it.)
+(perfbench/ and benchmarks/ are copied too: tests read the tracer's name
+lists and load the layer harness from them.)
 
 Prints one line per site, `killed`, `timeout` or `SURVIVED`, with the first
 failing test of a killed mutant, then the survivors.  A survivor is an
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
         return 0
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as tree:
-        for part in ("src", "tests", "perfbench"):
+        for part in ("src", "tests", "perfbench", "benchmarks"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)

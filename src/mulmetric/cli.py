@@ -224,7 +224,10 @@ def cmd_verify(args) -> int:
 def cmd_estimate(args) -> int:
     pd, map_ = _load_problem(args)
     lambda_hat, witness = fp.estimate_lambda(map_, args.pairs, pd.kind, pd.seed)
-    print(f"{lambda_hat!r}")
+    line = f"{lambda_hat!r}"
+    print(line)
+    if args.out:
+        _write(line, args.out)
     if args.verbose:
         print(f"witness pair: {witness}", file=sys.stderr)
     return EXIT_OK

@@ -3,7 +3,11 @@
 perfbench/tracer.py imports only the standard library, so its name lists can
 be read here without running the benchmark.  The benchmark also reads
 `space.dist(p, q).log_value` as a plain float, and counts distances by
-wrapping `space.dist`, so no internal call may go round that handle.
+wrapping `space.dist`, so no internal call may go round that handle.  One
+does, on purpose: on a one-coordinate chart `sequence_analysis._row_maxima`
+scans the chart coordinates even where `dist` is wrapped, so a wrapped
+distance never sees the row maxima of `bounded_diagnostic` and
+`cauchy_diagnostic` (README: "A wrapped distance ... still gets the scan").
 """
 
 import importlib.util

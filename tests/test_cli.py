@@ -850,6 +850,12 @@ class TestEstimate:
                     "--pairs", "100", "--seed", "0"]) == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
 
+    def test_out_writes_the_printed_estimate(self, tmp_path, capsys):
+        out = tmp_path / "est.txt"
+        assert run(["estimate", "--problem", "sqrt-toy", "--pairs", "10",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "0.5\n" == out.read_text()
+
 
 class TestExamples:
     def test_listing(self, capsys):

@@ -34,15 +34,15 @@ GOLDEN = [
     ("verify --problem quarter-chatterjea --samples 500",
      "1224461b09b542c17bc5caf702f9e6e7e19b63eb6801ccb152044ba89fca06de"),
     ("estimate --problem paper-scalar --verbose",
-     "60a6f5eebe355dd7efd913d9896b5f69d17b0355f0b98313acbeadb089d2d9cf"),
+     "630d2baae536a61c05e2bf1a9448f2ebcf966968092bf7604bd3d0cc462565a8"),
     ("estimate --problem paper-segment --verbose",
-     "3387e25bbaa76604fd523dedc3508bb1aabad956468ffdc409b5d564cd1134a6"),
+     "bd5d1185813c818e5407e3cd65ed39b400d57ce32846aa7c0a72266ccc744bbf"),
     ("estimate --problem sqrt-toy --verbose",
-     "9e87c545270a2b6928c0f6bc9f34bbd5330c424848111a37c14856c401274b58"),
+     "20af4f946d8279bbd57264b70c1941d7cee6368737787158bc0390e4c209e857"),
     ("estimate --problem quarter-kannan --verbose",
-     "0eb08a1d742793df2cfcc78bea0ea1a1a539eb6850b3f99c937d6453c6d5c5ea"),
+     "7a438885fb523d6124e6abee6b47f6ab37d5aa01b06e588103901cefba172334"),
     ("estimate --problem quarter-chatterjea --verbose",
-     "c0e7263aa936d11e78c4c90958b0c727fa11323ac53631e2478674a4c7d4ff3f"),
+     "de9b8234279c9fa1d0f404b48599000566bd2f2d1d9bc5ecd467c318ae456efa"),
     ("solve --problem sqrt-toy --x0 1",
      "bd455d15ba57f638a0b4364f2b37ab96ec1dac7265616260e015f660245fca2d"),
     ("solve --problem paper-scalar --max-iter 3",
