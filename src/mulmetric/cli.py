@@ -14,7 +14,7 @@ import json
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from . import fixed_point as fp
 from . import registry as reg
@@ -83,12 +83,11 @@ def trace_json(report: fp.SolverReport) -> str:
     """A solver report as JSON: its steps (each point as `registry.encode_point`
     gives it) and a footer, byte for byte what `json.dumps(indent=2)` writes.  Steps
     with float points and finite floats are one fill of `_FLOAT_STEP`s."""
-    reprs = _reprs(chain.from_iterable(map(
-        attrgetter("point", "step_log", "apriori_log", "aposteriori_log"), report.trace)))
+    reprs = _reprs(chain.from_iterable(map(itemgetter(1, 2, 3, 4), report.trace)))
     if reprs is not None:
         slots = iter(reprs)
         steps = _list([_FLOAT_STEP] * len(report.trace), "  ") % tuple(chain.from_iterable(
-            zip(map(attrgetter("n"), report.trace), slots, slots, slots, slots)))
+            zip(map(itemgetter(0), report.trace), slots, slots, slots, slots)))
     else:
         steps = _list([_STEP % (s.n, _array(reg.encode_point(s.point), "      "),
                                 _float(s.step_log), _float(s.apriori_log),

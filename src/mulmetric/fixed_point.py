@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import add, le, not_, truediv
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     EstimationError,
@@ -64,8 +64,7 @@ class ContractionSpec:
         return self.lam / (1.0 - self.lam)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     n: int
     point: object
     step_log: float          # ln d(x_{n+1}, x_n)
@@ -165,28 +164,30 @@ def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
         raise InputError(f"tol_log must be positive, got {tol_log}")
     if max_iter < 0:
         raise InputError(f"max_iter must be nonnegative, got {max_iter}")
-    space = map_.space
+    dist = map_.space.dist
     trace: list[TraceStep] = []
     x, fx = x0, map_(x0)
     for n in range(max_iter + 1):
-        step_log = space.dist(x, fx)  # x first: a start point outside the space is named
-        if n == 0:
-            d10_log = apo = step_log
+        step_log = dist(x, fx)  # x first: a start point outside the space is named
         # bounds on ln d(x_n, z): a-priori from the first step, a-posteriori from the
         # previous one; at n = 0 their minimum is d10_log itself
-        apr = apriori_bound(d10_log, rate, n)
+        if n:
+            apr = (rate**n / (1.0 - rate)) * d10_log  # apriori_bound, its inputs checked
+        else:
+            d10_log = apo = step_log
+            apr = apriori_bound(d10_log, rate, 0)
         converged = min(apr, apo) <= tol_log
         if n == max_iter and not converged:
             return SolverReport(x, step_log, n, False, trace)
-        if n:
-            # the bounds trust the rate, so every step must obey it
+        # the bounds trust the rate, so every step must obey it
+        if n and step_log > prev_step_log * rate + STEP_CHAIN_SLACK:
             _check_step(n, step_log, prev_step_log, rate)
         apo = (rate / (1.0 - rate)) * step_log
-        trace.append(TraceStep(n, x, step_log, apr, apo))
+        trace.append(tuple.__new__(TraceStep, (n, x, step_log, apr, apo)))
         if converged:
             return SolverReport(x, step_log, n, True, trace)
         if ball_log_radius is not None:
-            drift = space.dist(fx, ball_center)
+            drift = dist(fx, ball_center)
             if drift > ball_log_radius + STEP_CHAIN_SLACK:
                 raise InvariantBreachError(
                     f"iterate {n + 1} left the closed ball: ln d(x, x0) = "

@@ -132,7 +132,7 @@ class SampledPosFunction:
         return cls(tuple(grid), tuple(fn(x) for x in grid))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SegmentPoint:
     """A point on one of the two unit-anchored segments
 
@@ -142,9 +142,9 @@ class SegmentPoint:
     u: float
     v: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
+    def __init__(self, u: float, v: float):
+        object.__setattr__(self, "u", float(u))  # each field once, past frozen
+        object.__setattr__(self, "v", float(v))
         if not (1.0 <= self.u <= 2.0 and 1.0 <= self.v <= 2.0):
             raise DomainError(f"segment coordinates must lie in [1, 2]: {self}")
         if self.u != 1.0 and self.v != 1.0:

@@ -229,7 +229,7 @@ def segment_space() -> SpaceInstance:
     """The two unit-anchored segments under the cube-root product metric."""
 
     def sample(rng: random.Random) -> SegmentPoint:
-        t = rng.uniform(1.0, 2.0)
+        t = 1.0 + rng.random()  # rng.uniform(1.0, 2.0), bit for bit
         if rng.random() < 0.5:
             return SegmentPoint(t, 1.0)
         return SegmentPoint(1.0, t)

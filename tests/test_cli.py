@@ -704,7 +704,7 @@ class TestWriter:
             fields = ["point"] + (["step_log", "apriori_log", "aposteriori_log"]
                                   if isinstance(leaf, float) else [])
             j = rng.randrange(len(steps))
-            steps[j] = dataclasses.replace(steps[j], **{rng.choice(fields): leaf})
+            steps[j] = steps[j]._replace(**{rng.choice(fields): leaf})
             written(SolverReport(2.5, 1e-13, 40, True, steps))
 
     @pytest.mark.parametrize("axiom", ['50%"x', "%s", "%%d %(a)s"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from mulmetric import spaces
 from mulmetric.errors import (
+    DomainError,
     EstimationError,
     InputError,
     InvariantBreachError,
@@ -26,9 +28,10 @@ from mulmetric.fixed_point import (
     estimate_lambda,
     kannan_solve,
     power_solve,
+    solve,
     uniqueness_probe,
 )
-from mulmetric.metric_core import SegmentPoint
+from mulmetric.metric_core import MulDistance, SegmentPoint
 from mulmetric.spaces import SelfMap
 
 POS = spaces.positive_reals()
@@ -144,6 +147,21 @@ class TestBanachSolve:
         _check_step(1, bound, 0.3, 0.5)
         with pytest.raises(InvariantBreachError):
             _check_step(1, math.nextafter(bound, math.inf), 0.3, 0.5)
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_the_driver_breaches_past_the_chain_slack_only(self, over):
+        # the iterates 0, 1, 2, 3 of n -> n + 1 under a scripted distance: step 1 at
+        # the bound obeys the chain and the next float breaks it, as `_check_step` has it
+        bound = 0.3 * 0.5 + STEP_CHAIN_SLACK
+        steps = [0.3, math.nextafter(bound, math.inf) if over else bound, 0.0, 0.0]
+        space = spaces.SpaceInstance("scripted", None, dist=lambda a, b: float.__new__(
+            MulDistance, steps[min(a, b)]))
+        run = lambda: solve(SelfMap("succ", lambda n: n + 1, space), 0, BANACH_HALF)  # noqa: E731
+        if over:
+            with pytest.raises(InvariantBreachError, match="^step 1: "):
+                run()
+        else:
+            assert run().fixed_point == 3  # the a-posteriori bound of step 2 is 0
 
     def test_apriori_envelope(self):
         report = banach_solve(SQRT, 16.0, BANACH_HALF, tol_log=1e-12)
@@ -281,10 +299,51 @@ def picard_cases(draw):
 
 
 def outcome(fn, *args, **kwargs):
+    """fn's report as its fields and its steps as tuples, NaN as "nan" so that it
+    equals itself; or the type and text of what fn raised."""
     try:
-        return fn(*args, **kwargs)
+        r = fn(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+    nan = lambda v: "nan" if v != v else v  # noqa: E731
+    return [*map(nan, (r.fixed_point, r.residual_log, r.iterations, r.converged)),
+            [tuple(map(nan, s)) for s in r.trace]]
+
+
+def raising_at(map_: SelfMap, k: int) -> SelfMap:
+    """A fresh copy of map_ undefined at the k-th distinct point it is called at (x0
+    being the 0th), so at x_k; the former driver called f at the last iterate twice."""
+    seen = {}
+
+    def fn(x):
+        if seen.setdefault(x, len(seen)) == k:
+            raise ValueError("undefined here")
+        return map_.fn(x)
+
+    return SelfMap(map_.name, fn, map_.space)
+
+
+def bad_start(map_: SelfMap, x0, value: float) -> SelfMap:
+    """map_ on a chartless copy of its space whose distance between x0 and f x0 is
+    value, which may be negative or NaN; every other distance is the space's."""
+    space, pair = map_.space, {x0, map_.fn(x0)}
+
+    def dist(a, b):
+        return float.__new__(MulDistance, value) if {a, b} == pair else space.dist(a, b)
+
+    return SelfMap(map_.name, map_.fn, dataclasses.replace(space, chart=None, dist=dist))
+
+
+#: x -> sqrt(x) / 2 on [0.1, 1], with fixed point 1/4; it maps [0.04, 4] into [0.1, 1]
+HALF_SQRT = SelfMap("half-sqrt", lambda x: 0.5 * math.sqrt(x), spaces.positive_interval(0.1, 1.0))
+
+
+def both_drivers(map_for, case):
+    """The outcomes of `_picard` and `former_picard` on a case, each on its own map_for()."""
+    x0, rate, tol, max_iter, radius = case[3:]
+    ball = {} if radius is None else {"ball_center": x0, "ball_log_radius": radius}
+    return [outcome(driver, map_for(), x0, rate, tol, max_iter, **ball)
+            for driver in (fixed_point._picard, former_picard)]
 
 
 class TestPicardOracle:
@@ -299,12 +358,87 @@ class TestPicardOracle:
     @example(case=("power", 0.9, 1.3, 40.0, 0.5, 1e-12, 500, None))    # rate too small
     @example(case=("power", 0.5, 1.0, 4.0, 0.5, 1e-12, 500, math.log(4.0)))  # ball boundary
     @example(case=("power", 0.5, 1.0, 4.0, 0.5, 1e-12, 500, 0.5))      # leaves the ball
+    @example(case=("power", 0.5, 1.0, 1.0, 0.0, 1e-12, 5, None))       # rate 0, exact fixed start
+    @example(case=("affine", 0.5, 1.0, 2.0, 0.0, 1e-12, 5, None))      # rate 0, exact fixed start
     def test_matches_the_former_driver(self, case):
-        family, q, shift, x0, rate, tol, max_iter, radius = case
-        map_ = picard_map(family, q, shift)
-        ball = {} if radius is None else {"ball_center": x0, "ball_log_radius": radius}
-        assert (outcome(fixed_point._picard, map_, x0, rate, tol, max_iter, **ball)
-                == outcome(former_picard, map_, x0, rate, tol, max_iter, **ball))
+        new, former = both_drivers(lambda: picard_map(*case[:3]), case)
+        assert new == former
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=picard_cases(), k=st.integers(0, 8))
+    @example(case=("power", 0.5, 1.0, 16.0, 0.5, 1e-12, 500, None), k=0)   # at x0
+    @example(case=("power", 0.5, 1.0, 16.0, 0.5, 1e-12, 500, None), k=4)
+    @example(case=("power", 0.5, 1.0, 16.0, 0.5, 1e-14, 3, None), k=3)    # the last iterate
+    @example(case=("power", 0.2, 1.0, 147.6, 0.46, 1e-12, 4, None), k=5)  # past the budget
+    @example(case=("power", 0.9, 1.3, 40.0, 0.5, 1e-12, 500, None), k=2)  # before the breach
+    def test_a_map_that_raises_at_iterate_k(self, case, k):
+        new, former = both_drivers(lambda: raising_at(picard_map(*case[:3]), k), case)
+        assert new == former
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(x0=st.floats(0.04, 0.099) | st.floats(1.001, 4.0),  # past the interval's log slack
+           rate=st.sampled_from([0.0, 0.5, 0.9, 1.0]), max_iter=st.integers(0, 6) | st.just(500))
+    @example(x0=4.0, rate=0.5, max_iter=500)
+    @example(x0=0.04, rate=0.0, max_iter=0)
+    @example(x0=2.0, rate=1.0, max_iter=5)  # the point is named before the rate
+    def test_a_start_outside_the_interval(self, x0, rate, max_iter):
+        # its image lies inside, so either driver's first distance names x0
+        new, former = both_drivers(lambda: HALF_SQRT, ("", 0, 0, x0, rate, 1e-12, max_iter, None))
+        assert new == former == (DomainError, f"point outside [0.1, 1.0]: {x0!r}")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=picard_cases(), value=st.sampled_from([-0.5, -1e-300, math.nan]))
+    @example(case=("power", 0.5, 1.0, 16.0, 0.5, 1e-12, 500, None), value=-1.0)
+    @example(case=("power", 0.5, 1.0, 16.0, 0.5, 1e-12, 500, None), value=math.nan)
+    @example(case=("power", 0.5, 1.0, 1.0, 0.0, 1e-12, 5, None), value=math.nan)  # fixed start
+    @example(case=("power", 0.5, 1.0, 4.0, 0.5, 1e-12, 50, 0.5), value=math.nan)  # with a ball
+    def test_a_chartless_distance_negative_or_nan_at_the_start(self, case, value):
+        new, former = both_drivers(lambda: bad_start(picard_map(*case[:3]), case[3], value), case)
+        assert new == former
+        if value < 0:
+            assert new == (InputError, "d10_log must be nonnegative")
+
+
+class TestMapCalls:
+    """`solve` calls the map through `SelfMap.__call__`, where perfbench's tracer
+    counts `fixed_point.map_calls`, once at each iterate it measures."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, call = [], SelfMap.__call__
+        monkeypatch.setattr(SelfMap, "__call__", lambda m, p: (calls.append(p), call(m, p))[1])
+        return calls
+
+    @pytest.mark.parametrize("x0, max_iter, converged", [
+        (16.0, 500, True), (1.0, 500, True), (16.0, 3, False), (16.0, 0, False)])
+    def test_iterations_plus_one(self, calls, x0, max_iter, converged):
+        report = solve(SQRT, x0, BANACH_HALF, max_iter=max_iter)
+        assert report.converged is converged
+        assert len(calls) == report.iterations + 1
+        assert calls == [s.point for s in report.trace] + ([] if converged else [report.fixed_point])
+
+    @pytest.mark.parametrize("fn, step", [
+        (lambda x: 1.3 * x**0.9, 1),                      # steps shrink by 0.9 from the first
+        (lambda x: x**0.5 if x > 2.0 else x**0.95, 6)])  # by 0.5 down to 2, then by 0.95
+    def test_a_breach_at_step_n_makes_n_plus_one(self, calls, fn, step):
+        with pytest.raises(InvariantBreachError, match=f"^step {step}:"):
+            solve(SelfMap("power", fn, POS), 1e6, ContractionSpec("banach", 0.6))
+        assert len(calls) == step + 1 and calls[0] == 1e6
+
+
+class TestTraceStep:
+    def test_a_named_tuple(self):
+        step = TraceStep(3, 2.5, 0.25, 0.5, 0.25)
+        assert TraceStep._fields == ("n", "point", "step_log", "apriori_log", "aposteriori_log")
+        assert step == (3, 2.5, 0.25, 0.5, 0.25) and isinstance(step, tuple)
+        assert repr(step) == ("TraceStep(n=3, point=2.5, step_log=0.25, apriori_log=0.5, "
+                              "aposteriori_log=0.25)")
+        assert step._replace(point=1.0) == (3, 1.0, 0.25, 0.5, 0.25)
+
+    def test_the_solver_builds_them(self):
+        trace = solve(SQRT, 16.0, BANACH_HALF).trace
+        assert {type(s) for s in trace} == {TraceStep}
+        assert [s.n for s in trace] == list(range(len(trace)))
 
 
 class TestBallSolve:

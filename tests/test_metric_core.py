@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -244,6 +245,44 @@ class TestDistSegment:
             SegmentPoint(1.5, 1.5)
         with pytest.raises(DomainError):
             SegmentPoint(3.0, 1.0)
+
+
+class TestSegmentPoint:
+    @pytest.mark.parametrize("u, v", [("1.5", 1), (2, "1"), ("1", "1.0")])
+    def test_fields_are_floats(self, u, v):
+        p = SegmentPoint(u, v)
+        assert (type(p.u), type(p.v)) == (float, float)
+        assert p == SegmentPoint(float(u), float(v))
+        assert hash(p) == hash(SegmentPoint(float(u), float(v)))
+
+    def test_error_texts_show_the_point(self):
+        with pytest.raises(DomainError, match=r"^segment coordinates must lie in \[1, 2\]: "
+                           r"SegmentPoint\(u=3\.0, v=1\.0\)$"):
+            SegmentPoint("3", 1)
+        with pytest.raises(DomainError, match=r"^one coordinate must equal 1: "
+                           r"SegmentPoint\(u=1\.5, v=1\.5\)$"):
+            SegmentPoint(1.5, 1.5)
+
+    def test_frozen(self):
+        p = SegmentPoint(1.5, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.u = 1.25
+        assert repr(p) == "SegmentPoint(u=1.5, v=1.0)"
+        assert [f.name for f in dataclasses.fields(p)] == ["u", "v"]
+
+    def test_replace(self):
+        p = dataclasses.replace(SegmentPoint(1.5, 1.0), u=2)
+        assert p == SegmentPoint(2.0, 1.0) and type(p.u) is float
+        with pytest.raises(DomainError, match="one coordinate must equal 1"):
+            dataclasses.replace(p, v=1.5)
+
+    def test_sampler_draws_as_uniform_did(self):
+        # 1.0 + rng.random() is rng.uniform(1.0, 2.0) bit for bit
+        sample, a, b = spaces.segment_space().sample, random.Random(5), random.Random(5)
+        for _ in range(200):
+            t = b.uniform(1.0, 2.0)
+            former = SegmentPoint(t, 1.0) if b.random() < 0.5 else SegmentPoint(1.0, t)
+            assert sample(a) == former
 
 
 class TestBalls:
