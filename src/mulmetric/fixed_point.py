@@ -158,15 +158,17 @@ def _check_step(n: int, step_log: float, prev_step_log: float, rate: float):
 
 
 def _picard(map_: SelfMap, x0, rate: float, tol_log: float, max_iter: int,
-            ball_center=None, ball_log_radius: float | None = None) -> SolverReport:
-    """Shared Picard driver with geometric stopping and ratio monitoring."""
+            ball_center=None, ball_log_radius: float | None = None,
+            fx0=None) -> SolverReport:
+    """Shared Picard driver with geometric stopping and ratio monitoring; fx0 is
+    f(x0) when the caller has it already."""
     if not (tol_log > 0):
         raise InputError(f"tol_log must be positive, got {tol_log}")
     if max_iter < 0:
         raise InputError(f"max_iter must be nonnegative, got {max_iter}")
     dist = map_.space.dist
     trace: list[TraceStep] = []
-    x, fx = x0, map_(x0)
+    x, fx = x0, map_(x0) if fx0 is None else fx0
     for n in range(max_iter + 1):
         step_log = dist(x, fx)  # x first: a start point outside the space is named
         # bounds on ln d(x_n, z): a-priori from the first step, a-posteriori from the
@@ -230,15 +232,15 @@ def ball_solve(map_: SelfMap, x0, epsilon: float, spec: ContractionSpec,
     _require_kind(spec, "banach", "ball_solve")
     if not (epsilon > 1):
         raise InputError(f"epsilon must exceed 1, got {epsilon}")
-    space = map_.space
-    first_log = space.dist(map_(x0), x0)
+    fx0 = map_(x0)
+    first_log = map_.space.dist(fx0, x0)
     budget = (1.0 - spec.lam) * math.log(epsilon)
     if first_log > budget + STEP_CHAIN_SLACK:
         raise PreconditionError(
             f"ln d(fx0, x0) = {first_log:.6e} exceeds (1-lambda) ln eps = {budget:.6e}",
             measured=first_log)
     return _picard(map_, x0, spec.rate, tol_log, max_iter,
-                   ball_center=x0, ball_log_radius=math.log(epsilon))
+                   ball_center=x0, ball_log_radius=math.log(epsilon), fx0=fx0)
 
 
 def power_solve(map_: SelfMap, n_power: int, spec: ContractionSpec, x0,

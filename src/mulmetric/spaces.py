@@ -29,6 +29,9 @@ from .metric_core import (
 )
 
 Point = Any
+#: the grid indices at which func-sup's decode evaluates a function: every 128th,
+#: 8 of the default 1024
+FUNC_PROBE = slice(None, None, 128)
 DistFn = Callable[[Point, Point], MulDistance]
 SamplerFn = Callable[[random.Random], Point]
 
@@ -41,8 +44,9 @@ class SpaceInstance:
     it in); only a chartless space, such as a candidate distance under test,
     gives `dist` itself.  A chart space also has `draws`, the rng.random()
     calls `sample` makes per point, and `decode`, which maps such draws, shape
-    (..., draws), to the chart coordinates of the points built from them, each
-    within verifier.CHART_REL_ERR * (1 + |phi|) of phi's.
+    (..., draws), to the chart coordinates of the points built from them, or a
+    fixed selection of them, each within verifier.CHART_REL_ERR * (1 + |phi|) of
+    phi's.
     """
 
     name: str
@@ -195,6 +199,8 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
 
     The sampler draws smooth positive functions c * x |-> exp(s * t(x)) via a random
     low-order trigonometric bump, c log-uniform on [0.1, 10], on the shared grid.
+    Its decode gives the log values at the FUNC_PROBE grid points only: functions
+    equal on the grid are equal there too, which is all the axiom screen needs.
     """
     import numpy as np
     if not (b > a):
@@ -202,6 +208,7 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     name = f"func-sup[{a},{b}]x{n_grid}"
     grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
     grid_arr = np.asarray(grid)
+    probe = grid_arr[FUNC_PROBE]
     log_lo, width = _log_uniform(0.1, 10.0)
 
     def sample(rng: random.Random) -> SampledPosFunction:
@@ -217,10 +224,12 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
         return np.log(f.values)
 
     def decode(u):
-        # the sampler's four draws, in log coordinates: ln c + amp * sin(freq * x + phase)
+        # the sampler's four draws, in log coordinates at the probe's abscissae:
+        # ln c + amp * sin(freq * x + phase), bounded (|ln c| <= ln 10, |amp| <= 1),
+        # so no gap off the probe is non-finite
         log_c, amp = log_lo + width * u[..., :1], -1.0 + 2.0 * u[..., 1:2]
         freq, phase = 0.5 + 2.5 * u[..., 2:3], 2 * math.pi * u[..., 3:]
-        return log_c + amp * np.sin(freq * grid_arr + phase)
+        return log_c + amp * np.sin(freq * probe + phase)
 
     return SpaceInstance(name, sample, Chart(phi, norm="linf"), 4, decode)
 

@@ -129,8 +129,10 @@ class _Replay(random.Random):
 def _batched_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Witness]:
     """verify_axioms on a chart space with a decode, in blocks of the same random.Random
     stream, x and y of each triple decoded.  Where phi(x) = phi(y), decode puts x and y
-    within 2 * CHART_REL_ERR * (1 + |x| + |y|) in each coordinate: such a row, or one
-    with a non-finite gap, is rebuilt from its draws and checked by the scalar code."""
+    within 2 * CHART_REL_ERR * (1 + |x| + |y|) in each coordinate it gives, all of phi's
+    or a fixed selection: such a row, or one with a non-finite gap, is rebuilt from its
+    draws and checked by the scalar code.  A selection may rebuild more rows than the
+    whole chart would, never fewer; the block size follows the decode's width."""
     import numpy as np
     draw, k = random.Random(seed).random, space.draws
     block = max(1, BLOCK_FLOATS // (3 * max(k, space.decode(np.zeros(k)).shape[-1])))

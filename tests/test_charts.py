@@ -71,8 +71,10 @@ def test_draws_decode_to_the_sampled_points(name, seed):
     # replaying each point's draws rebuilds exactly the sampled point
     assert [space.sample(_Replay(row.tolist())) for row in u] == points
     coords = space.decode(u)
+    # func-sup decodes a function at the probe's grid points only
+    probe = spaces.FUNC_PROBE if name == "func-sup" else slice(None)
     for c, p in zip(coords, points):
-        want = chart_coords(space, p)
+        want = chart_coords(space, p)[probe]
         assert c.shape == want.shape
         assert np.all(np.abs(c - want) <= 1e-13 * (1 + np.abs(want)))
 
@@ -109,12 +111,14 @@ def test_batched_report_equals_scalar_report(name, seed):
 @pytest.mark.parametrize("space, most_rebuilt", [
     (spaces.positive_interval(1.0, 1.0 + 1e-11), 24),
     (spaces.exp_metric(8, 1e10), 0),
-], ids=["narrow-interval", "d-a-8-base-1e10"])
+    (spaces.build("func-sup"), 0),
+], ids=["narrow-interval", "d-a-8-base-1e10", "func-sup"])
 def test_screened_samples_are_confirmed_by_the_scalar_check(space, most_rebuilt):
     # a row is rebuilt only where x and y lie within decode's error of each other in
-    # every chart coordinate: on [1, 1 + 1e-11] the coordinates span 1e-11, so about
+    # every decoded coordinate: on [1, 1 + 1e-11] the coordinates span 1e-11, so about
     # 4 % of the rows (two draws within 0.02) come that close; on d-a-8 no row of
-    # eight coordinates in [-10, 10] does, however large the base
+    # eight coordinates in [-10, 10] does, however large the base, nor on func-sup a
+    # row of two random functions at the probe's 8 grid points
     decoded, sampled = [], []
 
     def decode(u):
@@ -226,6 +230,70 @@ def test_a_chart_that_is_not_injective_is_refuted(path):
         x, y = w.points
         assert w.axiom == "m1" and x == -y != 0.0 and w.values == (0.0,)
     assert report == scalar_report(SQUARES, 2000, 0)
+
+
+# the integers -2..2 under the chart (0, x^2), whose decode gives the first coordinate
+# only: 0 at every point, so the screen tells no pair apart
+BLIND = spaces.SpaceInstance("blind-decode", SQUARES.sample, Chart(lambda x: (0.0, x * x)), 1,
+                             lambda u: np.zeros(u.shape))
+
+
+def test_a_decode_that_tells_no_pair_apart_rebuilds_every_row():
+    sampled = []
+
+    def sample(rng):
+        sampled.append(1)
+        return BLIND.sample(rng)
+
+    report = verify_axioms(dataclasses.replace(BLIND, sample=sample), 300, seed=0)
+    # every row's x and y are rebuilt, and the scalar check alone writes the witnesses
+    assert len(sampled) == 2 * 300
+    assert not report.m1_ok and report == scalar_report(BLIND, 300, 0)
+
+
+def replayed(x, y):
+    """The rows of decoded x and y that the verifier's screen sends to the scalar check."""
+    gap, bound = abs(x - y), 2 * CHART_REL_ERR * (1 + abs(x) + abs(y))
+    return (gap <= bound).all(-1) | ~np.isfinite(gap).all(-1)
+
+
+FUNC_SUP = BUILT["func-sup"]
+FUNC_GRID = np.asarray(FUNC_SUP.sample(random.Random(0)).grid)
+
+
+def full_grid_decode(u):
+    """func-sup's chart coordinates at every grid point: ln c + amp * sin(freq * x + phase)
+    from the sampler's four draws, as the reference for the probe."""
+    log_lo, log_hi = math.log(0.1), math.log(10.0)
+    log_c, amp = log_lo + (log_hi - log_lo) * u[..., :1], -1.0 + 2.0 * u[..., 1:2]
+    freq, phase = 0.5 + 2.5 * u[..., 2:3], 2 * math.pi * u[..., 3:]
+    return log_c + amp * np.sin(freq * FUNC_GRID + phase)
+
+
+UNIT_DRAWS = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4)
+
+
+def nudged(draws, steps):
+    """The draws, each moved by an ulp down, not at all, or up, within [0, 1)."""
+    moved = [math.nextafter(d, math.copysign(math.inf, s)) if s else d
+             for d, s in zip(draws, steps)]
+    return [m if 0.0 <= m < 1.0 else d for m, d in zip(moved, draws)]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(rows=st.lists(st.tuples(UNIT_DRAWS, UNIT_DRAWS,
+                               st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4)),
+                     min_size=1, max_size=20))
+def test_the_probe_replays_every_row_the_full_grid_replays(rows):
+    # random pairs, and each x again with its draws nudged by an ulp: a near-coincident y
+    near = [(x, nudged(x, steps)) for x, _, steps in rows]
+    u = np.array([(x, y) for x, y, _ in rows] + near)
+    assert full_grid_decode(u).shape[-1] == len(FUNC_GRID)
+    full = replayed(*np.moveaxis(full_grid_decode(u), 1, 0))
+    probe = replayed(*np.moveaxis(FUNC_SUP.decode(u), 1, 0))
+    assert not (full & ~probe).any()
+    # the full grid replays every near-coincident pair: the subset is not vacuous
+    assert full[len(rows):].all()
 
 
 # 0 and this b lie exactly 2 * CHART_REL_ERR * (1 + 0 + b) apart in float arithmetic

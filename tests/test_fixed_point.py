@@ -425,6 +425,21 @@ class TestMapCalls:
             solve(SelfMap("power", fn, POS), 1e6, ContractionSpec("banach", 0.6))
         assert len(calls) == step + 1 and calls[0] == 1e6
 
+    @pytest.mark.parametrize("x0, epsilon, max_iter, converged", [
+        (4.0, 4.0, 500, True), (1.0, 2.0, 500, True), (4.0, 4.0, 3, False), (4.0, 4.0, 0, False)])
+    def test_a_ball_solve_makes_iterations_plus_one(self, calls, x0, epsilon, max_iter,
+                                                    converged):
+        # the precondition's f(x0) is the driver's first image: no point is mapped twice
+        report = ball_solve(SQRT, x0, epsilon, BANACH_HALF, max_iter=max_iter)
+        assert report.converged is converged
+        assert len(calls) == report.iterations + 1
+        assert calls == [s.point for s in report.trace] + ([] if converged else [report.fixed_point])
+
+    def test_a_failed_ball_precondition_makes_one(self, calls):
+        with pytest.raises(PreconditionError):
+            ball_solve(SQRT, 16.0, 2.0, BANACH_HALF)
+        assert calls == [16.0]
+
 
 class TestTraceStep:
     def test_a_named_tuple(self):
