@@ -165,7 +165,13 @@ class Chart:
     factor and a divisor so that ln(a) * gap and gap / 3 keep their closed
     forms bit for bit.  `dist` gives rho of two points as a MulDistance (a
     DomainError for anything phi cannot read, or a NaN or infinite gap).  rho is
-    then a pseudometric for any phi, and a metric exactly when phi is injective.
+    then a pseudometric for any phi, and a metric on the points phi tells apart.
+
+    `min_gap` is the least nonzero |a - b| of two coordinates: a float a - b is 0
+    only where a == b (gradual underflow), so 2^-1074 on any float chart.  An L1
+    sum or an L-infinity maximum of nonnegative gaps is at least each gap, and
+    rounding is monotone, so two points whose coordinates differ lie at least
+    `min_rho()` apart (a complex gap is a hypot, at least either part's).
     """
 
     phi: Optional[Callable] = None
@@ -173,6 +179,13 @@ class Chart:
     factor: float = 1.0
     divisor: float = 1.0
     scalar: bool = False
+    min_gap: float = math.ulp(0.0)
+
+    def min_rho(self) -> float:
+        """min_gap scaled by `dist`'s float operations in `dist`'s order: m1 holds
+        on the chart's points when this is > 0."""
+        g = self.min_gap
+        return g if self.factor == self.divisor == 1.0 else g * self.factor / self.divisor
 
     def coords(self, points) -> list:
         """phi of each point, in order (the points themselves where phi is None)."""
@@ -191,7 +204,8 @@ class Chart:
 
     def product(self, other: Optional["Chart"]) -> Optional["Chart"]:
         """The chart of pairs (p, q), p a point of this chart and q of other: their
-        coordinates concatenated; None unless both are L1 charts of one scale."""
+        coordinates concatenated, the smaller min_gap; None unless both are L1 charts
+        of one scale."""
         if not (other and self.norm == other.norm == "l1"
                 and (self.factor, self.divisor) == (other.factor, other.divisor)):
             return None
@@ -201,7 +215,8 @@ class Chart:
             p, q = p if isinstance(p, tuple) else ()  # a ValueError for anything but a pair
             return (*((phi1(p),) if s1 else phi1(p)), *((phi2(q),) if s2 else phi2(q)))
 
-        return Chart(phi, factor=self.factor, divisor=self.divisor)
+        return Chart(phi, factor=self.factor, divisor=self.divisor,
+                     min_gap=min(self.min_gap, other.min_gap))
 
     @cached_property
     def dist(self) -> Callable:
@@ -246,8 +261,11 @@ def _segment_log(p) -> float:
 POS_CHART = Chart(math.log, scalar=True)
 #: d_e on R: |x - y|
 LINE_CHART = Chart(scalar=True)
-#: the cube-root product metric on the two unit-anchored segments
-SEGMENT_CHART = Chart(_segment_log, divisor=3.0, scalar=True)
+#: the cube-root product metric on the two unit-anchored segments.  Its coordinates
+#: are 0 or +-fl(ln t), t a float in [1 + 2^-52, 2], so |c| lies in [2^-53, 1), where
+#: floats are multiples of 2^-105: distinct coordinates differ by at least 2^-105
+#: (the default 2^-1074 / 3 would round to 0)
+SEGMENT_CHART = Chart(_segment_log, divisor=3.0, scalar=True, min_gap=2.0**-105)
 
 
 # ---------------------------------------------------------------------------

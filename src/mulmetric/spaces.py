@@ -29,9 +29,6 @@ from .metric_core import (
 )
 
 Point = Any
-#: the grid indices at which func-sup's decode evaluates a function: every 128th,
-#: 8 of the default 1024
-FUNC_PROBE = slice(None, None, 128)
 DistFn = Callable[[Point, Point], MulDistance]
 SamplerFn = Callable[[random.Random], Point]
 
@@ -42,18 +39,16 @@ class SpaceInstance:
 
     A chart space gives its `chart`, whose distance is then `dist` (None fills
     it in); only a chartless space, such as a candidate distance under test,
-    gives `dist` itself.  A chart space also has `draws`, the rng.random()
-    calls `sample` makes per point, and `decode`, which maps such draws, shape
-    (..., draws), to the chart coordinates of the points built from them, or a
-    fixed selection of them, each within verifier.CHART_REL_ERR * (1 + |phi|) of
-    phi's.
+    gives `dist` itself.  Points of a chart space are one point when their chart
+    coordinates are equal, and its axioms follow from the chart's scale
+    (`verifier.verify_axioms`): d(x, x) = 1, m1 and m2 hold exactly in floats for
+    every pair whose scaled gap is finite, and m3 and the reverse inequality in
+    real arithmetic.  A pair whose gap overflows is `not points of this space`.
     """
 
     name: str
     sample: SamplerFn
     chart: Optional[Chart] = None
-    draws: int = 0
-    decode: Optional[Callable] = None
     dist: Optional[DistFn] = None
 
     def __post_init__(self):
@@ -105,7 +100,7 @@ def positive_reals(lo: float = 0.01, hi: float = 100.0) -> SpaceInstance:
     """(R_+, |.|*): scalar positive reals under the multiplicative absolute value."""
     log_lo, width = _log_uniform(lo, hi)
     return SpaceInstance("pos-reals", lambda rng: math.exp(log_lo + width * rng.random()),
-                         mc.POS_CHART, 1, lambda u: log_lo + width * u)
+                         mc.POS_CHART)
 
 
 def positive_interval(lo: float, hi: float) -> SpaceInstance:
@@ -137,8 +132,7 @@ def positive_vectors(n: int) -> SpaceInstance:
         draw = rng.random
         return PosVec(tuple([math.exp(log_lo + width * draw()) for _ in range(n)]))
 
-    return SpaceInstance(f"pos-vec-{n}", sample, Chart(_vector_phi(n, PosVec, math.log)), n,
-                         lambda u: log_lo + width * u)
+    return SpaceInstance(f"pos-vec-{n}", sample, Chart(_vector_phi(n, PosVec, math.log)))
 
 
 def exp_metric(n: int, base: float, complex_coords: bool = False) -> SpaceInstance:
@@ -154,22 +148,18 @@ def exp_metric(n: int, base: float, complex_coords: bool = False) -> SpaceInstan
         def sample(rng: random.Random) -> ComplexVec:
             return ComplexVec(tuple(complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
                                     for _ in range(n)))
-        # the draws alternate real and imaginary parts
-        return SpaceInstance(f"exp-metric-C{n}(a={base})", sample, chart, 2 * n,
-                             lambda u: (lo + (hi - lo) * u).view(complex))
+        return SpaceInstance(f"exp-metric-C{n}(a={base})", sample, chart)
 
     def sample(rng: random.Random) -> RealVec:
         return RealVec(tuple(rng.uniform(lo, hi) for _ in range(n)))
 
-    return SpaceInstance(f"exp-metric-R{n}(a={base})", sample, chart, n,
-                         lambda u: lo + (hi - lo) * u)
+    return SpaceInstance(f"exp-metric-R{n}(a={base})", sample, chart)
 
 
 def real_line_exp() -> SpaceInstance:
     """(R, d_e): scalar reals with d(x,y) = e^|x-y| (log gap = |x-y|), sampled on [-10, 10]."""
     lo, width = -10.0, 20.0
-    return SpaceInstance("real-line-exp", lambda rng: lo + width * rng.random(),
-                         mc.LINE_CHART, 1, lambda u: lo + width * u)
+    return SpaceInstance("real-line-exp", lambda rng: lo + width * rng.random(), mc.LINE_CHART)
 
 
 def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
@@ -185,13 +175,7 @@ def product_space(s1: SpaceInstance, s2: SpaceInstance) -> SpaceInstance:
     def sample(rng: random.Random):
         return (s1.sample(rng), s2.sample(rng))
 
-    k, decode1, decode2 = s1.draws, s1.decode, s2.decode
-
-    def decode(u):
-        import numpy as np
-        return np.concatenate([decode1(u[..., :k]), decode2(u[..., k:])], -1)
-
-    return SpaceInstance(name, sample, chart, k + s2.draws, decode)
+    return SpaceInstance(name, sample, chart)
 
 
 def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
@@ -199,8 +183,6 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
 
     The sampler draws smooth positive functions c * x |-> exp(s * t(x)) via a random
     low-order trigonometric bump, c log-uniform on [0.1, 10], on the shared grid.
-    Its decode gives the log values at the FUNC_PROBE grid points only: functions
-    equal on the grid are equal there too, which is all the axiom screen needs.
     """
     import numpy as np
     if not (b > a):
@@ -208,7 +190,6 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     name = f"func-sup[{a},{b}]x{n_grid}"
     grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
     grid_arr = np.asarray(grid)
-    probe = grid_arr[FUNC_PROBE]
     log_lo, width = _log_uniform(0.1, 10.0)
 
     def sample(rng: random.Random) -> SampledPosFunction:
@@ -223,15 +204,7 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
             raise ShapeError(f"function not sampled on the grid of {name}")
         return np.log(f.values)
 
-    def decode(u):
-        # the sampler's four draws, in log coordinates at the probe's abscissae:
-        # ln c + amp * sin(freq * x + phase), bounded (|ln c| <= ln 10, |amp| <= 1),
-        # so no gap off the probe is non-finite
-        log_c, amp = log_lo + width * u[..., :1], -1.0 + 2.0 * u[..., 1:2]
-        freq, phase = 0.5 + 2.5 * u[..., 2:3], 2 * math.pi * u[..., 3:]
-        return log_c + amp * np.sin(freq * probe + phase)
-
-    return SpaceInstance(name, sample, Chart(phi, norm="linf"), 4, decode)
+    return SpaceInstance(name, sample, Chart(phi, norm="linf"))
 
 
 def segment_space() -> SpaceInstance:
@@ -243,12 +216,7 @@ def segment_space() -> SpaceInstance:
             return SegmentPoint(t, 1.0)
         return SegmentPoint(1.0, t)
 
-    def decode(u):
-        import numpy as np
-        log_t = np.log(1.0 + u[..., :1])
-        return np.where(u[..., 1:] < 0.5, log_t, -log_t)
-
-    return SpaceInstance("segment", sample, mc.SEGMENT_CHART, 2, decode)
+    return SpaceInstance("segment", sample, mc.SEGMENT_CHART)
 
 
 def segment_half_power(p: SegmentPoint) -> SegmentPoint:

@@ -1,10 +1,14 @@
-"""Sampling-based certification or refutation of metric and contraction axioms.
+"""Certification or refutation of metric and contraction axioms.
 
-A passing report is a statistical certificate only (the sampler cannot
-exhaust a continuum), so every report carries sampled_not_proved = True.
-A failing report is sound: each witness stores the exact inputs and the
-measured values, and re-evaluating it reproduces the violation.  On a chart
-space only m1's distinct-points test can fail, and only it runs there.
+A chart space's metric axioms are proved from its chart's scale
+(sampled_not_proved = False): d(x, x) = 1, m1 and m2 hold exactly in floats for
+every pair whose scaled gap is finite, m3 and the reverse inequality in real
+arithmetic, their float rounding pinned only at sampled scales by
+test_a_chart_distance_never_fails_the_tests_a_chart_cannot_fail.  A pair whose
+gap overflows is still `not points of this space`.  Every other check samples,
+and a pass is a statistical certificate only.  A failing report is sound: each
+witness stores the exact inputs and the measured values, and re-evaluating it
+reproduces the violation.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat, starmap
+from itertools import compress, count, repeat
 from operator import add, gt, mul
 from typing import ClassVar, NamedTuple
 
@@ -23,11 +27,6 @@ from .spaces import SelfMap, SpaceInstance
 
 #: how far a sampled ln d may miss an axiom or a contraction inequality (rounding)
 SLACK_LOG = 1e-10
-#: bound on |decode - phi| / (1 + |phi|) per chart coordinate (numpy's exp, log
-#: and sin may differ from math's by an ulp)
-CHART_REL_ERR = 1e-13
-#: floats per array in one batch of chart samples
-BLOCK_FLOATS = 2**14
 
 
 def _log_of(d) -> float:
@@ -109,68 +108,33 @@ def _axiom_witnesses(distance, x, y, z) -> list[Witness]:
     return found
 
 
-def _chart_witness(dist, x, y) -> list[Witness]:
-    """m1 on a chart space: distinct points at ln d = 0 exactly (any positive
-    tolerance would refute distinct points that are merely close)."""
-    dxy = dist(x, y)
-    return [Witness("m1", (x, y), (dxy,))] if dxy == 0.0 and x != y else []
-
-
-class _Replay(random.Random):
-    """Hands out recorded rng.random() values: a sampler rebuilds its points."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self):
-        return next(self._values)
-
-
-def _batched_witnesses(space: SpaceInstance, n_samples: int, seed: int) -> list[Witness]:
-    """verify_axioms on a chart space with a decode, in blocks of the same random.Random
-    stream, x and y of each triple decoded.  Where phi(x) = phi(y), decode puts x and y
-    within 2 * CHART_REL_ERR * (1 + |x| + |y|) in each coordinate it gives, all of phi's
-    or a fixed selection: such a row, or one with a non-finite gap, is rebuilt from its
-    draws and checked by the scalar code.  A selection may rebuild more rows than the
-    whole chart would, never fewer; the block size follows the decode's width."""
-    import numpy as np
-    draw, k = random.Random(seed).random, space.draws
-    block = max(1, BLOCK_FLOATS // (3 * max(k, space.decode(np.zeros(k)).shape[-1])))
-    witnesses: list[Witness] = []
-    for start in range(0, n_samples, block):
-        b = min(block, n_samples - start)
-        u = np.fromiter(starmap(draw, repeat((), 3 * k * b)), float, 3 * k * b).reshape(b, 3, k)
-        x, y = np.moveaxis(space.decode(u[:, :2]), 1, 0)
-        gap, bound = abs(x - y), 2 * CHART_REL_ERR * (1 + abs(x) + abs(y))
-        for i in np.flatnonzero((gap <= bound).all(-1) | ~np.isfinite(gap).all(-1)):
-            replay = _Replay(u[i, :2].ravel().tolist())
-            witnesses += _chart_witness(space.dist, space.sample(replay), space.sample(replay))
-    return witnesses
-
-
 def verify_axioms(space: SpaceInstance, n_samples: int, seed: int = 0) -> AxiomReport:
-    """Sample triples from the space and test m1-m3 and the reverse inequality.
+    """Prove m1-m3 and the reverse inequality on a chart space, or test them on
+    sampled triples of a chartless one.
 
-    On a chart space ln d is a norm of phi(x) - phi(y): only m1 can fail, where phi
-    is not injective, and a pair x != y at ln d = 0 exactly is its witness.  A
-    chartless space (a candidate distance under test) runs all five tests, m1 in
-    both directions: d(x, x) = 1, d >= 1, and no ln d within the point-equality
-    tolerance between points that are not `==`.
+    On a chart space ln d is a norm of phi(x) - phi(y), and two points are one
+    point when their coordinates are equal: the axioms then follow from the
+    chart's scale, and nothing is drawn.  m1 holds when `Chart.min_rho` is > 0;
+    otherwise points min_gap apart lie at ln d = 0, a DomainError.  A proved
+    report echoes n_samples and seed.  A chartless space (a candidate distance
+    under test) runs all five tests, m1 in both directions: d(x, x) = 1, d >= 1,
+    and no ln d within the point-equality tolerance between points that are not `==`.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    if space.chart is not None and space.decode is not None:
-        witnesses = _batched_witnesses(space, n_samples, seed)
-    else:
-        rng, dist, sample, witnesses = random.Random(seed), space.dist, space.sample, []
-        for _ in range(n_samples):
-            x, y, z = sample(rng), sample(rng), sample(rng)
-            try:
-                witnesses += (_axiom_witnesses(dist, x, y, z) if space.chart is None
-                              else _chart_witness(dist, x, y))
-            except (ArithmeticError, ValueError, TypeError) as exc:
-                raise DomainError(f"distance {space.name} is undefined at {(x, y, z)!r}: "
-                                  f"{exc}") from None
+    if space.chart is not None:
+        if not space.chart.min_rho() > 0:
+            raise DomainError(f"m1 fails on {space.name}: points whose chart coordinates "
+                              f"differ by {space.chart.min_gap!r} lie at ln d = 0")
+        return AxiomReport(True, True, True, True, [], n_samples, seed, SLACK_LOG, False)
+    rng, dist, sample, witnesses = random.Random(seed), space.dist, space.sample, []
+    for _ in range(n_samples):
+        x, y, z = sample(rng), sample(rng), sample(rng)
+        try:
+            witnesses += _axiom_witnesses(dist, x, y, z)
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise DomainError(f"distance {space.name} is undefined at {(x, y, z)!r}: "
+                              f"{exc}") from None
 
     flagged = {w.axiom for w in witnesses}
     return AxiomReport("m1" not in flagged, "m2" not in flagged, "m3" not in flagged,

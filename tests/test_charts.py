@@ -1,5 +1,5 @@
-"""Chart spaces: the batched draws and distances against the scalar sampler and
-distance, and the batched axiom verifier against the scalar one."""
+"""Chart spaces: the chart distances, their columns and products, and the axioms
+that follow from a chart's scale."""
 
 import ast
 import dataclasses
@@ -18,6 +18,7 @@ from mulmetric.errors import DomainError, ShapeError
 from mulmetric.metric_core import (
     LINE_CHART,
     Chart,
+    ComplexVec,
     POS_CHART,
     SEGMENT_CHART,
     Grid,
@@ -25,7 +26,7 @@ from mulmetric.metric_core import (
     SampledPosFunction,
     SegmentPoint,
 )
-from mulmetric.verifier import CHART_REL_ERR, SLACK_LOG, _fails, _Replay, verify_axioms
+from mulmetric.verifier import SLACK_LOG, _fails, verify_axioms
 
 # every id of spaces.SPACES; d-a both real and complex
 CHART_SPACES = {
@@ -43,99 +44,35 @@ BUILT = {name: make() for name, make in CHART_SPACES.items()}
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def chart_coords(space, point) -> np.ndarray:
-    """phi of one point as a flat array (the scalar side of the chart)."""
-    phi = space.chart.phi
-    c = point if phi is None else phi(point)
-    return np.atleast_1d(np.asarray(c))
-
-
-def draw_block(space, seed: int, n: int):
-    """n points' worth of draws from Random(seed), the rng after them, and the points
-    sample() gives from a fresh Random(seed)."""
-    rng = random.Random(seed)
-    u = np.array([rng.random() for _ in range(n * space.draws)]).reshape(n, space.draws)
-    ref = random.Random(seed)
-    points = [space.sample(ref) for _ in range(n)]
-    return u, rng, ref, points
+def never_drawn(rng):
+    raise AssertionError("a chart space's axioms are proved, not sampled")
 
 
 @pytest.mark.parametrize("name", sorted(BUILT))
-@settings(max_examples=10, derandomize=True, deadline=None)
-@given(seed=SEEDS)
-def test_draws_decode_to_the_sampled_points(name, seed):
-    space = BUILT[name]
-    u, rng, ref, points = draw_block(space, seed, 6)
-    # the sampler consumes exactly `draws` rng.random() calls per point
-    assert rng.getstate() == ref.getstate()
-    # replaying each point's draws rebuilds exactly the sampled point
-    assert [space.sample(_Replay(row.tolist())) for row in u] == points
-    coords = space.decode(u)
-    # func-sup decodes a function at the probe's grid points only
-    probe = spaces.FUNC_PROBE if name == "func-sup" else slice(None)
-    for c, p in zip(coords, points):
-        want = chart_coords(space, p)[probe]
-        assert c.shape == want.shape
-        assert np.all(np.abs(c - want) <= 1e-13 * (1 + np.abs(want)))
+def test_every_chart_space_is_proved_without_drawing(name):
+    space = dataclasses.replace(BUILT[name], sample=never_drawn)
+    report = verify_axioms(space, 300, seed=7)
+    assert report.all_ok and report.witnesses == [] and not report.sampled_not_proved
+    # the request is echoed, as a sampled report gives it
+    assert (report.samples_used, report.seed, report.slack_log) == (300, 7, SLACK_LOG)
 
 
-def test_the_half_draw_picks_one_segment_in_sample_and_decode():
-    # draws in [0, 0.5) pick {(u, 1)}: exactly half of rng.random()'s values; 0.5 itself
-    # picks {(1, v)}, in the sampler as in decode
-    space = BUILT["segment"]
-    assert space.sample(_Replay([0.25, 0.5])) == SegmentPoint(1.0, 1.25)
-    assert space.sample(_Replay([0.25, math.nextafter(0.5, 0)])) == SegmentPoint(1.25, 1.0)
-    assert space.decode(np.array([0.25, 0.5])).tolist() == [-math.log(1.25)]
+class Scripted(random.Random):
+    """Hands out the given rng.random() values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
 
 
-def scalar_space(space):
-    """The space without its decode keeps its chart, whose distance is its identity
-    (a chartless copy would tell points apart by `==`): the scalar path."""
-    return dataclasses.replace(space, decode=None)
-
-
-def scalar_report(space, n, seed):
-    """The scalar path's report."""
-    return verify_axioms(scalar_space(space), n, seed=seed)
-
-
-@pytest.mark.parametrize("name", sorted(BUILT))
-@settings(max_examples=4, derandomize=True, deadline=None)
-@given(seed=SEEDS)
-def test_batched_report_equals_scalar_report(name, seed):
-    space = BUILT[name]
-    n = 30 if name == "func-sup" else 300
-    assert verify_axioms(space, n, seed=seed) == scalar_report(space, n, seed)
-
-
-@pytest.mark.parametrize("space, most_rebuilt", [
-    (spaces.positive_interval(1.0, 1.0 + 1e-11), 24),
-    (spaces.exp_metric(8, 1e10), 0),
-    (spaces.build("func-sup"), 0),
-], ids=["narrow-interval", "d-a-8-base-1e10", "func-sup"])
-def test_screened_samples_are_confirmed_by_the_scalar_check(space, most_rebuilt):
-    # a row is rebuilt only where x and y lie within decode's error of each other in
-    # every decoded coordinate: on [1, 1 + 1e-11] the coordinates span 1e-11, so about
-    # 4 % of the rows (two draws within 0.02) come that close; on d-a-8 no row of
-    # eight coordinates in [-10, 10] does, however large the base, nor on func-sup a
-    # row of two random functions at the probe's 8 grid points
-    decoded, sampled = [], []
-
-    def decode(u):
-        decoded.append(len(u))
-        return space.decode(u)
-
-    def sample(rng):
-        sampled.append(1)
-        return space.sample(rng)
-
-    for seed in (3, 4, 5):
-        decoded.clear(), sampled.clear()
-        batched = verify_axioms(dataclasses.replace(space, decode=decode, sample=sample), 300,
-                                seed=seed)
-        assert batched.all_ok and batched == scalar_report(space, 300, seed)
-        # a rebuilt row samples x and y only
-        assert decoded and len(sampled) <= 2 * most_rebuilt
+def test_the_half_draw_picks_one_segment():
+    # rng.random() values in [0, 0.5) pick {(u, 1)}, exactly half of them; 0.5
+    # itself picks {(1, v)}
+    sample = BUILT["segment"].sample
+    assert sample(Scripted([0.25, 0.5])) == SegmentPoint(1.0, 1.25)
+    assert sample(Scripted([0.25, math.nextafter(0.5, 0)])) == SegmentPoint(1.25, 1.0)
 
 
 def test_screened_space_passes_on_the_cli():
@@ -147,43 +84,14 @@ def test_space_without_a_chart_takes_the_scalar_path():
     # two L1 charts of one scale: the pair of d-star-2 spaces has the concatenated chart
     space = spaces.product_space(spaces.positive_vectors(2), spaces.positive_vectors(2))
     assert space.chart is not None
-    report = verify_axioms(space, 200, seed=1)
-    assert report.all_ok and report == scalar_report(space, 200, 1)
-    # a candidate space gives its distance and has no chart (nor decode): the scalar path
+    proved = verify_axioms(space, 200, seed=1)
+    assert proved.all_ok and not proved.sampled_not_proved
+    # a candidate space gives its distance and has no chart: the five sampled tests,
+    # which find nothing the proof missed
     candidate = spaces.SpaceInstance("candidate", space.sample, dist=space.dist)
-    assert candidate.chart is None and candidate.decode is None
-    assert verify_axioms(candidate, 200, seed=1) == report
-    # a chart space without a decode cannot draw in blocks: the scalar path
-    pos_reals = spaces.positive_reals()
-    undecoded = spaces.SpaceInstance("undecoded", pos_reals.sample, pos_reals.chart)
-    assert verify_axioms(undecoded, 200, seed=1) == scalar_report(pos_reals, 200, 1)
-
-
-def test_a_space_of_nan_points_fails_on_both_paths():
-    # no comparison flags a NaN: the screen sends every row with a non-finite gap
-    # to the scalar check, which raises as the scalar path does
-    space = spaces.SpaceInstance("nan", lambda rng: rng.random() * math.nan, POS_CHART, 1,
-                                 lambda u: u * math.nan)
-    errors = []
-    for sp in (space, dataclasses.replace(space, chart=None)):
-        with pytest.raises(DomainError) as exc:
-            verify_axioms(sp, 5)
-        errors.append(str(exc.value))
-    assert errors == ["not points of this space: nan, nan"] * 2
-
-
-def test_a_row_with_one_nan_coordinate_fails_on_both_paths():
-    # the first coordinates lie far apart, the second is NaN: the row is rebuilt all
-    # the same, and the scalar check raises as the scalar path does
-    space = spaces.SpaceInstance(
-        "half-nan", lambda rng: (10 * rng.random(), math.nan * rng.random()), Chart(tuple), 2,
-        lambda u: u * np.array([10.0, math.nan]))
-    errors = []
-    for sp in (space, scalar_space(space)):
-        with pytest.raises(DomainError) as exc:
-            verify_axioms(sp, 5, seed=1)
-        errors.append(str(exc.value))
-    assert errors[0] == errors[1] and errors[0].startswith("not points of this space")
+    assert candidate.chart is None
+    assert verify_axioms(candidate, 200, seed=1) == dataclasses.replace(
+        proved, sampled_not_proved=True)
 
 
 @pytest.mark.parametrize("abscissae", [(math.nan, math.nan), (0.0, math.nan, 1.0),
@@ -198,124 +106,108 @@ def build_every_space_id():
     return [spaces.build(space_id, **bounds.get(space_id, {})) for space_id in spaces.SPACES]
 
 
-def test_every_space_id_has_a_chart_and_a_decode():
-    # the batched path serves every space of the table
-    for space in build_every_space_id():
-        assert space.chart is not None and space.decode is not None
-
-
 def test_a_chart_space_tells_points_apart_by_its_distance():
     # on [1, 1 + 1e-11] distinct floats lie within 1e-12 in ln d: the chart's identity
-    # is its distance, which is not 0 between them, so the charted scalar path flags
-    # nothing; the chartless copy tells the points apart by `==` and flags m1
+    # is its coordinates, and its distance is not 0 between distinct ones, so the
+    # chart space is proved; the chartless copy tells the points apart by `==` and
+    # flags m1
     space = spaces.positive_interval(1.0, 1.0 + 1e-11)
-    assert verify_axioms(dataclasses.replace(space, decode=None), 50, seed=1).all_ok
+    assert verify_axioms(space, 50, seed=1).all_ok
+    a, b = 1.0, math.nextafter(1.0, 2.0)
+    assert space.dist(a, b) > 0.0
     chartless = verify_axioms(dataclasses.replace(space, chart=None), 50, seed=1)
     assert not chartless.m1_ok
     assert all(w.axiom == "m1" and w.points[0] != w.points[1] for w in chartless.witnesses)
 
 
-# the integers -2..2 under ln d = |x^2 - y^2|: phi is not injective, so d(2, -2) = 1
+# the integers -2..2 under ln d = |x^2 - y^2|: 2 and -2 have one coordinate
 SQUARES = spaces.SpaceInstance("squares", lambda rng: float(math.floor(5 * rng.random()) - 2),
-                               Chart(lambda x: x * x, scalar=True), 1,
-                               lambda u: (np.floor(5 * u) - 2) ** 2)
+                               Chart(lambda x: x * x, scalar=True))
 
 
-@pytest.mark.parametrize("path", [lambda space: space, scalar_space], ids=["batched", "scalar"])
-def test_a_chart_that_is_not_injective_is_refuted(path):
-    report = verify_axioms(path(SQUARES), 2000, seed=0)
-    assert not report.m1_ok and report.m2_ok and report.m3_ok and report.reverse_ok
-    assert len(report.witnesses) > 100
-    for w in report.witnesses:
-        x, y = w.points
-        assert w.axiom == "m1" and x == -y != 0.0 and w.values == (0.0,)
-    assert report == scalar_report(SQUARES, 2000, 0)
+def test_a_chart_that_is_not_injective_is_a_metric_on_its_coordinates():
+    # the chart decides identity: 2 and -2 are one point, at ln d = 0, and the axioms
+    # hold on the points the chart tells apart
+    assert SQUARES.dist(2.0, -2.0) == 0.0 < SQUARES.dist(1.0, -2.0)
+    report = verify_axioms(SQUARES, 2000, seed=0)
+    assert report.all_ok and report.witnesses == [] and not report.sampled_not_proved
 
 
-# the integers -2..2 under the chart (0, x^2), whose decode gives the first coordinate
-# only: 0 at every point, so the screen tells no pair apart
-BLIND = spaces.SpaceInstance("blind-decode", SQUARES.sample, Chart(lambda x: (0.0, x * x)), 1,
-                             lambda u: np.zeros(u.shape))
+# the first and last 1000 floats of [1, 2], where segment's coordinates lie closest
+END_FLOATS = ([1.0 + i * 2.0**-52 for i in range(1000)]
+              + [2.0 - i * 2.0**-52 for i in range(1000)])
+SEGMENT_POINTS = st.builds(
+    lambda t, first: SegmentPoint(t, 1.0) if first else SegmentPoint(1.0, t),
+    st.sampled_from(END_FLOATS) | st.floats(1.0, 2.0), st.booleans())
 
 
-def test_a_decode_that_tells_no_pair_apart_rebuilds_every_row():
-    sampled = []
-
-    def sample(rng):
-        sampled.append(1)
-        return BLIND.sample(rng)
-
-    report = verify_axioms(dataclasses.replace(BLIND, sample=sample), 300, seed=0)
-    # every row's x and y are rebuilt, and the scalar check alone writes the witnesses
-    assert len(sampled) == 2 * 300
-    assert not report.m1_ok and report == scalar_report(BLIND, 300, 0)
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(p=SEGMENT_POINTS, q=SEGMENT_POINTS)
+def test_segment_coordinates_differ_by_at_least_the_min_gap(p, q):
+    phi = SEGMENT_CHART.phi
+    gap = abs(phi(p) - phi(q))
+    assert gap == 0.0 or gap >= SEGMENT_CHART.min_gap
+    assert p != q or gap == 0.0
 
 
-def replayed(x, y):
-    """The rows of decoded x and y that the verifier's screen sends to the scalar check."""
-    gap, bound = abs(x - y), 2 * CHART_REL_ERR * (1 + abs(x) + abs(y))
-    return (gap <= bound).all(-1) | ~np.isfinite(gap).all(-1)
+def test_the_end_floats_of_segment_lie_min_gap_apart():
+    # sorted, the least gap lies between neighbours: every point of both segments at
+    # the end floats, sweeping all pairs at once
+    coords = sorted({SEGMENT_CHART.phi(SegmentPoint(*uv)) for t in END_FLOATS
+                     for uv in ((t, 1.0), (1.0, t))})
+    assert min(b - a for a, b in zip(coords, coords[1:])) >= SEGMENT_CHART.min_gap
 
 
-FUNC_SUP = BUILT["func-sup"]
-FUNC_GRID = np.asarray(FUNC_SUP.sample(random.Random(0)).grid)
+def test_segment_min_gap_keeps_a_third_of_it_above_zero():
+    # the default gap 2^-1074 / 3 rounds to 0 and would refute segment; 2^-105 / 3 does not
+    assert math.ulp(0.0) / 3 == 0.0
+    assert dataclasses.replace(SEGMENT_CHART, min_gap=math.ulp(0.0)).min_rho() == 0.0
+    assert SEGMENT_CHART.min_rho() == 2.0**-105 / 3 > 0.0
+    assert cli.main(["verify", "--space", "segment", "--out", os.devnull]) == 0
+    # the closest distinct coordinates, next to 1: fl(ln t) lies in [2^-53, 1)
+    t = 1.0 + 2.0**-52
+    assert 2.0**-53 <= math.log(t) < 1.0
 
 
-def full_grid_decode(u):
-    """func-sup's chart coordinates at every grid point: ln c + amp * sin(freq * x + phase)
-    from the sampler's four draws, as the reference for the probe."""
-    log_lo, log_hi = math.log(0.1), math.log(10.0)
-    log_c, amp = log_lo + (log_hi - log_lo) * u[..., :1], -1.0 + 2.0 * u[..., 1:2]
-    freq, phase = 0.5 + 2.5 * u[..., 2:3], 2 * math.pi * u[..., 3:]
-    return log_c + amp * np.sin(freq * FUNC_GRID + phase)
+def threshold_base() -> float:
+    """The least float base b > 1 at which math.ulp(0.0) * math.log(b) > 0."""
+    lo, hi = 1.0, 2.0  # ulp(0) * ln 1 is 0, ulp(0) * ln 2 is not
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if math.ulp(0.0) * math.log(mid) > 0.0 else (mid, hi)
+    return hi
 
 
-UNIT_DRAWS = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4)
+@pytest.mark.parametrize("complex_coords", [False, True], ids=["real", "complex"])
+def test_d_a_below_the_threshold_base_fails_m1(complex_coords, capsys):
+    above = threshold_base()
+    below = math.nextafter(above, 1.0)
+    assert 1.6 < below < above < 1.7  # ln b = 1/2: ulp(0) * ln b is a tie, to even 0
+    point = ComplexVec if complex_coords else RealVec
+    flag = ["--complex"] if complex_coords else []
+    errors = []
+    for base, code in ((below, 2), (above, 0)):
+        chart = spaces.exp_metric(1, base, complex_coords).chart
+        # two distinct points, one smallest gap apart
+        d = chart.dist(point((0.0,)), point((math.ulp(0.0),)))
+        assert (d > 0.0) == (code == 0) == (chart.min_rho() > 0.0)
+        assert cli.main(["verify", "--space", "d-a", "--base", repr(base), *flag,
+                         "--out", os.devnull]) == code
+        errors.append(capsys.readouterr().err)
+    assert errors == [
+        f"error: m1 fails on exp-metric-{'C' if complex_coords else 'R'}1(a={below}): "
+        "points whose chart coordinates differ by 5e-324 lie at ln d = 0\n", ""]
+    # solve on that space still works
+    assert cli.main(["solve", "--expr", "x", "--space", "d-a", "--base", repr(below),
+                     "--x0", "-2", "--out", os.devnull]) == 0
 
 
-def nudged(draws, steps):
-    """The draws, each moved by an ulp down, not at all, or up, within [0, 1)."""
-    moved = [math.nextafter(d, math.copysign(math.inf, s)) if s else d
-             for d, s in zip(draws, steps)]
-    return [m if 0.0 <= m < 1.0 else d for m, d in zip(moved, draws)]
-
-
-@settings(max_examples=50, derandomize=True, deadline=None)
-@given(rows=st.lists(st.tuples(UNIT_DRAWS, UNIT_DRAWS,
-                               st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4)),
-                     min_size=1, max_size=20))
-def test_the_probe_replays_every_row_the_full_grid_replays(rows):
-    # random pairs, and each x again with its draws nudged by an ulp: a near-coincident y
-    near = [(x, nudged(x, steps)) for x, _, steps in rows]
-    u = np.array([(x, y) for x, y, _ in rows] + near)
-    assert full_grid_decode(u).shape[-1] == len(FUNC_GRID)
-    full = replayed(*np.moveaxis(full_grid_decode(u), 1, 0))
-    probe = replayed(*np.moveaxis(FUNC_SUP.decode(u), 1, 0))
-    assert not (full & ~probe).any()
-    # the full grid replays every near-coincident pair: the subset is not vacuous
-    assert full[len(rows):].all()
-
-
-# 0 and this b lie exactly 2 * CHART_REL_ERR * (1 + 0 + b) apart in float arithmetic
-AT_THE_BOUND = 2.0000000000004002e-13
-
-
-@pytest.mark.parametrize("p, q, decoded_q", [
-    (1.0, 2.0, math.nextafter(1.0, 2.0)),
-    (0.0, AT_THE_BOUND, AT_THE_BOUND),
-], ids=["an-ulp-apart", "at-the-bound"])
-def test_a_row_within_the_screen_is_replayed_and_refuted(p, q, decoded_q):
-    # phi(p) = phi(q) = p, and decode misses phi(q) by an ulp, or by a hair more than a
-    # decode may so that the row lies exactly at the screen's bound: the decoded rows
-    # differ, and the screen sends the row to the scalar check all the same
-    if q == AT_THE_BOUND:
-        assert abs(p - decoded_q) == 2 * CHART_REL_ERR * (1 + abs(p) + abs(decoded_q))
-    space = spaces.SpaceInstance("one-point-chart", lambda rng: p if rng.random() < 0.5 else q,
-                                 Chart(lambda x: p, scalar=True), 1,
-                                 lambda u: np.where(u < 0.5, p, decoded_q))
-    report = verify_axioms(space, 50, seed=0)
-    assert report == scalar_report(space, 50, 0)
-    assert {w.points for w in report.witnesses} == {(p, q), (q, p)}
+def test_a_pair_whose_gap_overflows_is_not_points_of_the_space():
+    # the proof covers pairs whose scaled gap is finite; one that overflows still raises
+    space = spaces.SpaceInstance("wide", lambda rng: (1e308, -1e308), Chart(tuple, factor=10.0))
+    assert verify_axioms(space, 5).all_ok
+    with pytest.raises(DomainError, match="not points of this space"):
+        space.dist((1e308, 0.0), (-1e308, 0.0))
 
 
 # every shipped chart, at the extremes of its parameters where it takes any
@@ -485,6 +377,9 @@ def test_a_product_needs_two_l1_charts_of_one_scale():
     assert seg.phi((SegmentPoint(2.0, 1.0), SegmentPoint(1.0, 1.0))) == (math.log(2.0), 0.0)
     vectors = d_a2.product(d_a2)
     assert vectors.factor == math.log(2.0)
+    # the pair's smallest gap is the smaller of the factors'
+    assert seg.min_gap == 2.0**-105 and pair.min_gap == math.ulp(0.0)
+    assert SEGMENT_CHART.product(Chart(divisor=3.0, scalar=True)).min_gap == math.ulp(0.0)
     assert vectors.phi((RealVec((1.0,)), RealVec((3.0,)))) == (1.0, 3.0)
 
 

@@ -378,7 +378,7 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["m1_ok"] and report["m2_ok"] and report["m3_ok"]
-        assert report["sampled_not_proved"]
+        assert not report["sampled_not_proved"]
 
     def test_expr_dist_refuted(self, tmp_path):
         out = tmp_path / "report.json"

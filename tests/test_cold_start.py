@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import mulmetric
+from mulmetric import spaces
 from mulmetric.registry import REGISTRY
 
 PROBE = r"""
@@ -26,21 +27,26 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(steps))
 """
 
+BOUNDS = {"pos-interval": ["--lo", "0.1", "--hi", "1"]}
 SCALAR_COMMANDS = [
     *([command, "--problem", pid] for pid in REGISTRY for command in ("solve", "estimate")),
     *(["verify", "--problem", pid, "--samples", "200"] for pid in REGISTRY),
     ["solve", "--expr", "x/2+1", "--space", "real-line-exp", "--x0", "0"],
+    # a chart space's axioms are proved from its scale: nothing is drawn
+    *(["verify", "--space", space_id, *BOUNDS.get(space_id, [])]
+      for space_id in spaces.SPACES if space_id != "func-sup"),
 ]
 
 
 def test_scalar_commands_load_no_numpy():
-    argvs = [*SCALAR_COMMANDS, ["verify", "--space", "pos-reals", "--samples", "200"]]
+    # func-sup's grid needs numpy to build
+    argvs = [*SCALAR_COMMANDS, ["verify", "--space", "func-sup", "--samples", "200"]]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mulmetric.__file__)))
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     steps = [tuple(step) for step in json.loads(proc.stdout)]
-    scalar, batched = steps[:-1], steps[-1]
+    scalar, func_sup = steps[:-1], steps[-1]
     assert scalar == [("import mulmetric", 0, False), ("import mulmetric.cli", 0, False)] + [
         (" ".join(argv), 0, False) for argv in SCALAR_COMMANDS]
-    # the batched axiom check still works in the same process, and loads numpy
-    assert batched == ("verify --space pos-reals --samples 200", 0, True)
+    # func-sup still works in the same process, and loads numpy
+    assert func_sup == ("verify --space func-sup --samples 200", 0, True)

@@ -142,7 +142,7 @@ def test_maps_that_raise_partway_through_a_block(space_id, text, kind):
 def listed(*values):
     """A space on the line under d_e whose sampler draws one of the given points."""
     return SpaceInstance("listed", lambda rng: values[int(len(values) * rng.random())],
-                         LINE_CHART, 1)
+                         LINE_CHART)
 
 
 def test_degenerate_pairs_are_skipped_on_both_paths():
