@@ -125,11 +125,14 @@ SQUARES = spaces.SpaceInstance("squares", lambda rng: float(math.floor(5 * rng.r
                                Chart(lambda x: x * x, scalar=True))
 
 
-def test_a_chart_that_is_not_injective_is_a_metric_on_its_coordinates():
+@pytest.mark.parametrize("chart", [SQUARES.chart, Chart(lambda x: (x * x,))],
+                         ids=["scalar", "tuple"])
+def test_a_chart_that_is_not_injective_is_a_metric_on_its_coordinates(chart):
     # the chart decides identity: 2 and -2 are one point, at ln d = 0, and the axioms
-    # hold on the points the chart tells apart
-    assert SQUARES.dist(2.0, -2.0) == 0.0 < SQUARES.dist(1.0, -2.0)
-    report = verify_axioms(SQUARES, 2000, seed=0)
+    # hold on the points the chart tells apart, whether phi gives a number or a tuple
+    space = dataclasses.replace(SQUARES, chart=chart)
+    assert space.dist(2.0, -2.0) == 0.0 < space.dist(1.0, -2.0)
+    report = verify_axioms(space, 2000, seed=0)
     assert report.all_ok and report.witnesses == [] and not report.sampled_not_proved
 
 
