@@ -10,7 +10,8 @@ working tree:
 - `commands`: each CLI command's wall time in milliseconds, one new
   `python -m mulmetric.cli` process per run: `solve`, `estimate` and
   `verify --problem` on every registry problem and `verify --space` on every
-  space id, at the CLI's default sample counts.  Per side the median and the
+  space id, at the CLI's default sample counts, and `verify --expr x` on three
+  func-sup points, which loads numpy.  Per side the median and the
   quartiles; `ratio` is the change's median over the parent's, and
   `same_output` says whether both trees gave the same exit code and stdout;
 - `floor`: `python -c pass`, the interpreter start every command pays;
@@ -41,7 +42,9 @@ SPACE_ARGS = (("pos-reals",), ("pos-interval", "--lo", "0.1", "--hi", "1"),
               ("segment",), ("product-pos",), ("func-sup",))
 COMMANDS = ([(cmd, "--problem", pid) for cmd in ("solve", "estimate", "verify")
              for pid in REGISTRY_IDS]
-            + [("verify", "--space", *args) for args in SPACE_ARGS])
+            + [("verify", "--space", *args) for args in SPACE_ARGS]
+            # func-sup points: the path that loads numpy
+            + [("verify", "--expr", "x", "--space", "func-sup", "--samples", "3")])
 #: rounds of the command timings and of the Tier-1 suite, each alternating the sides
 ROUNDS, TIER1_ROUNDS = 9, 3
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")

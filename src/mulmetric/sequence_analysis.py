@@ -55,41 +55,45 @@ def tail_start(n: int) -> int:
     return max(0, n - window)
 
 
-def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0) -> list:
-    """max over j > k of rho(x_k, x_j) for k = start .. n-2.  On a one-coordinate
-    chart this is one backward scan (float subtraction and the scale are monotone,
-    so a row's largest gap is to whichever of the largest and smallest later
-    coordinate lies farther, bit-equal to evaluating the row); elsewhere, or where
-    the scan raises, every row is evaluated in full, in order, so a failing distance
-    raises at the same pair as a pair loop."""
+def _row_maxima(seq: Sequence, space: SpaceInstance, start: int = 0) -> tuple:
+    """(max over j > k of rho(x_k, x_j) for k = start .. n-2, the coordinates of
+    seq[start:] or None).  On a one-coordinate chart this is one backward scan (float
+    subtraction and the scale are monotone, so a row's largest gap is to whichever of
+    the largest and smallest later coordinate lies farther, bit-equal to evaluating the
+    row), which returns the coordinates it read; elsewhere, or where the scan raises,
+    every row is evaluated in full, in order, so a failing distance raises at the same
+    pair as a pair loop."""
     chart = space.chart
     if chart is not None and chart.scalar:
         try:
-            c = chart.coords(seq[start:])[::-1]
-            far, hi, lo = [], c[0], c[0]
-            for x in c[1:]:
+            c = chart.coords(seq[start:])
+            far, hi, lo = [], c[-1], c[-1]
+            for x in c[-2::-1]:
                 far.append(lo if x - lo > hi - x else hi)
                 if x > hi:
                     hi = x
                 elif x < lo:
                     lo = x
-            return chart.gaps(c[1:], far)[::-1]
+            return chart.gaps(c[-2::-1], far)[::-1], c
         except Exception:  # a term or gap the scan refuses: the rows name it
             pass
     dist, n = space.dist, len(seq)
     return [max([dist(seq[k], seq[j]) for j in range(k + 1, n)])
-            for k in range(start, n - 1)]
+            for k in range(start, n - 1)], None
 
 
-def _dists_to(space: SpaceInstance, xs: Sequence, y, flip: bool = False) -> list:
+def _dists_to(space: SpaceInstance, xs: Sequence, y, flip: bool = False,
+              coords: Optional[tuple] = None) -> list:
     """rho(x, y) for each x of xs.  Where the distance is its scalar chart's, one
     `Chart.gaps` column against y's coordinate (plain floats; |a - b| and |b - a| are one
-    float); elsewhere, or where the column raises, one `space.dist(x, y)` per term
+    float), on `coords` = (xs's coordinates, y's) where they were read already;
+    elsewhere, or where the column raises, one `space.dist(x, y)` per term
     (`dist(y, x)` when flip), in order, so a failing distance raises at its pair."""
     chart, dist = space.chart, space.dist
     if chart is not None and chart.scalar and dist is chart.dist:
         try:
-            return chart.gaps(chart.coords(xs), repeat(chart.coords([y])[0]))
+            cx, cy = coords or (chart.coords(xs), chart.coords([y])[0])
+            return chart.gaps(cx, repeat(cy))
         except Exception:  # a term or gap the column refuses: the calls name it
             pass
     return [dist(y, x) for x in xs] if flip else [dist(x, y) for x in xs]
@@ -130,7 +134,7 @@ def cauchy_diagnostic(seq: Sequence, space: SpaceInstance, tol_log: float,
     if window > len(seq):
         raise InputError(f"window {window} exceeds sequence length {len(seq)}")
     start = len(seq) - window
-    maxima = _row_maxima(seq, space, start)
+    maxima, _ = _row_maxima(seq, space, start)
     worst = 0.0
     if maxima:
         # the witness is the first pair at the largest value, in the first row holding it
@@ -152,15 +156,17 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
     the floats.  Every element then satisfies d(x_n, x_n0) <= M.  Tails are nested, so
     n0 is one past the last index k with some d(x_k, x_j) >= 2, j > k.  On a
     one-coordinate chart the row maxima come from one O(n) scan of the coordinates, and
-    the row to the center is one `Chart.gaps` column (n distance calls where `dist` is
-    wrapped); elsewhere every row of the upper triangle is evaluated in full, so a call
-    costs n(n-1)/2 + n distances whatever the terms are.
+    the row to the center is one `Chart.gaps` column on the coordinates the scan read
+    (n distance calls where `dist` is wrapped); elsewhere every row of the upper
+    triangle is evaluated in full, so a call costs n(n-1)/2 + n distances whatever the
+    terms are.
     """
     if len(seq) == 0:
         raise InputError("empty sequence")
     ln2 = math.log(2.0)
-    n0 = max([k + 1 for k, m in enumerate(_row_maxima(seq, space)) if not m < ln2], default=0)
-    row = _dists_to(space, seq, seq[n0])
+    maxima, c = _row_maxima(seq, space)
+    n0 = max([k + 1 for k, m in enumerate(maxima) if not m < ln2], default=0)
+    row = _dists_to(space, seq, seq[n0], coords=None if c is None else (c, c[n0]))
     m_log = max([ln2] + row[:n0])
     assert all(map(le, row, repeat(m_log + 1e-12)))
     try:

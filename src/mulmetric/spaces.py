@@ -182,24 +182,28 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     """Sampled positive functions on [a, b] under the sup ratio metric.
 
     The sampler draws smooth positive functions c * x |-> exp(s * t(x)) via a random
-    low-order trigonometric bump, c log-uniform on [0.1, 10], on the shared grid.
+    low-order trigonometric bump, c log-uniform on [0.1, 10], on the shared grid.  numpy
+    loads at the first point drawn or measured, not when the space is built.
     """
-    import numpy as np
     if not (b > a):
         raise DomainError("need b > a")
     name = f"func-sup[{a},{b}]x{n_grid}"
     grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
-    grid_arr = np.asarray(grid)
+    grid_arr = []  # the grid as a numpy array, made at the first draw
     log_lo, width = _log_uniform(0.1, 10.0)
 
     def sample(rng: random.Random) -> SampledPosFunction:
+        import numpy as np
+        if not grid_arr:
+            grid_arr.append(np.asarray(grid))
         c = math.exp(log_lo + width * rng.random())
         amp = rng.uniform(-1.0, 1.0)
         freq = rng.uniform(0.5, 3.0)
         phase = rng.uniform(0.0, 2 * math.pi)
-        return SampledPosFunction(grid, c * np.exp(amp * np.sin(freq * grid_arr + phase)))
+        return SampledPosFunction(grid, c * np.exp(amp * np.sin(freq * grid_arr[0] + phase)))
 
     def phi(f):
+        import numpy as np
         if f.grid is not grid and f.grid != grid:
             raise ShapeError(f"function not sampled on the grid of {name}")
         return np.log(f.values)

@@ -49,6 +49,9 @@ GOLDEN = [
      "3ff0ab28b6d39efba38a5079ee485f6b1934118f80b5316a744841db46ee24a5"),
     ("solve --expr x/2+1 --space real-line-exp --lambda 0 --x0 0",
      "00e78f927347b402b8a56f3ed9f42377128a0583e1afbcb35fd1515ece99b948"),
+    # func-sup points: three sampled 1024-value functions and their sup distances
+    ("verify --expr x --space func-sup --samples 3 --seed 5",
+     "3ec9b60ce4f15dbeed0c00ba8cfaa1aeae9cd9b8431b1e10d251279b42122922"),
 ]
 
 

@@ -399,6 +399,20 @@ class TestChartPath:
         cauchy_diagnostic(seq, counting, 0.1, window=8)
         assert len(calls) == 7
 
+    def test_bounded_reads_each_coordinate_once(self):
+        # the row to the centre reuses the coordinates the scan read
+        calls = []
+
+        def log(x):
+            calls.append(x)
+            return math.log(x)
+
+        chart = dataclasses.replace(POS.chart, phi=log)
+        space = dataclasses.replace(POS, chart=chart, dist=None)
+        seq = [(0.2, 5.0, 1.0)[k % 3] for k in range(30)]
+        assert bounded_diagnostic(seq, space) == bounded_diagnostic(seq, POS)
+        assert calls == seq
+
 
 # spaces without a one-coordinate chart: each maps two draws in [0, 1] to a
 # point, and has a term whose distances raise
@@ -515,6 +529,31 @@ class TestFormerLoops:
         for path in (space, counted(space)):
             assert_same_repr(outcome(convergence_diagnostic, seq, limit, path, 0.5),
                              outcome(former_convergence_diagnostic, seq, limit, path, 0.5))
+
+    @pytest.mark.parametrize("space, seq", [
+        (POS, TIED),
+        (POS, [1.0, 2.0, 1.5, 1.5, 2.0, 1.0]),
+        (POS, [2.0, 1.0] * 6),
+        (spaces.real_line_exp(), [0.0, math.log(2.0), 0.0, 0.0, math.log(2.0)]),
+        (POS, [2.0, math.nan, 3.0] * 4),
+        (POS, [math.nan]),
+        (spaces.real_line_exp(), [1.0, math.nan]),
+        (POS, [2.0, math.inf, 3.0]),
+        (POS, [math.inf]),
+        (spaces.real_line_exp(), [math.inf]),
+        (spaces.real_line_exp(), [1e308, -1e308] * 3),
+    ], ids=["ties", "rows-at-ln2", "alternating-at-ln2", "ln2-on-the-line", "nan-term",
+            "only-nan", "nan-on-the-line", "infinite-term", "only-inf", "inf-on-the-line",
+            "overflowing-gap"])
+    def test_bounded_cases(self, space, seq):
+        # n0 and M bit for bit, or the same error, on the scan with the centre row on
+        # its coordinates, on the rows, and on the scan with a wrapped distance
+        for path in (space, without_chart(space), counted(space)):
+            got, expected = (outcome(bounded_diagnostic, seq, path),
+                             outcome(former_bounded_diagnostic, seq, path))
+            assert_same_repr(got, expected)
+            if isinstance(got, BoundReport):
+                assert got.M.hex() == expected.M.hex()
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(case=unit_sequences(), at=st.floats(0.0, 1.0), spread=st.floats(0.5, 5.0))
