@@ -124,6 +124,10 @@ def probes(mm, tmp: str):
         for diag, args in (("bounded", (seq, pos)), ("cauchy", (seq, pos, 1e-3))):
             yield (f"sequence_analysis/n={n}/{diag}_diagnostic_us",
                    each(getattr(sa, f"{diag}_diagnostic"), [args]), 1)
+        # candidates at the sequence's own extremes: no term violates, the gap is read
+        for check, cand in (("supremum", max(seq)), ("infimum", min(seq))):
+            yield (f"sequence_analysis/n={n}/check_{check}_us",
+                   each(getattr(sa, f"check_{check}"), [(seq, cand, (2.0, 1.1, 1.001))]), 1)
     for name, unit, key, argv in [
             ("trace", "step", "steps",
              ["solve", "--expr", "2*x^0.95", "--lambda", "0.95", "--x0", "30"]),

@@ -249,6 +249,7 @@ def power_solve(map_: SelfMap, n_power: int, spec: ContractionSpec, x0,
     """Solve via the n-fold composition f^n, then certify z fixes f itself."""
     if n_power < 1:
         raise InputError(f"n_power must be >= 1, got {n_power}")
+    _require_kind(spec, "banach", "power_solve")
 
     def composed(p):
         for _ in range(n_power):
@@ -256,7 +257,7 @@ def power_solve(map_: SelfMap, n_power: int, spec: ContractionSpec, x0,
         return p
 
     inner = SelfMap(f"{map_.name}^{n_power}", composed, map_.space)
-    report = banach_solve(inner, x0, spec, tol_log, max_iter)
+    report = solve(inner, x0, spec, tol_log, max_iter)
     if report.converged:
         z = report.fixed_point
         f_residual = map_.space.dist(map_(z), z)

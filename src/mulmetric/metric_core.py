@@ -103,6 +103,12 @@ class Grid(tuple):
             raise DomainError("grid must be strictly increasing")
         return grid
 
+    @classmethod
+    def uniform(cls, a: float, b: float, n: int) -> "Grid":
+        """n abscissae evenly spaced from a to b (fewer than two is a ShapeError)."""
+        last = max(n - 1, 1)  # n = 1 reaches the ShapeError, not a division by zero
+        return cls(a + (b - a) * i / last for i in range(n))
+
 
 @dataclass(frozen=True)
 class SampledPosFunction:
@@ -128,8 +134,8 @@ class SampledPosFunction:
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, n: int = 1024) -> "SampledPosFunction":
-        grid = [a + (b - a) * i / (n - 1) for i in range(n)]
-        return cls(tuple(grid), tuple(fn(x) for x in grid))
+        grid = Grid.uniform(a, b, n)
+        return cls(grid, tuple(map(fn, grid)))
 
 
 @dataclass(frozen=True, init=False)

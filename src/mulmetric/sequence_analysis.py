@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import compress, count, repeat
-from operator import ge, gt, index, le, lt, ne, truediv
+from operator import ge, gt, index, le, lt, ne
 from typing import Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -183,22 +183,13 @@ def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[floa
         raise InputError("all elements and the candidate must be positive")
     if not all(map(gt, eps_schedule, repeat(1))):
         raise InputError("every epsilon in the schedule must exceed 1")
-    elems = list(A)
-    word = "sup" if supremum else "inf"
-    i = next(compress(count(), map(gt if supremum else lt, elems, repeat(cand))), None)
-    if i is not None:
-        return SeqDiagnostic(False, i, mabs(cand / elems[i]),
-                             f"element {elems[i]} violates the {word} bound {cand}")
-    # an empty schedule never looks at the gaps (one may underflow to a DomainError)
-    closest = None
-    if len(eps_schedule):
-        try:  # log refuses a ratio of 0 and passes inf / inf: mabs names either
-            gaps = list(map(math.fabs, map(math.log, map(truediv, repeat(cand), elems))))
-            if math.isnan(sum(gaps)):
-                raise ValueError
-        except ValueError:
-            gaps = [mabs(cand / a) for a in elems]
-        closest = MulDistance(min(gaps))
+    word, beyond, extreme = ("sup", gt, max(A)) if supremum else ("inf", lt, min(A))
+    if beyond(extreme, cand):
+        i = next(compress(count(), map(beyond, A, repeat(cand))))
+        return SeqDiagnostic(False, i, mabs(cand / A[i]),
+                             f"element {A[i]} violates the {word} bound {cand}")
+    # the least gap (division and log are monotone); an empty schedule never raises on it
+    closest = mabs(cand / extreme) if len(eps_schedule) else None
     for k, eps in enumerate(eps_schedule):
         if closest >= math.log(eps):
             return SeqDiagnostic(False, k, closest,
@@ -208,13 +199,15 @@ def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[floa
 
 def check_supremum(A: Sequence[float], s: float,
                    eps_schedule: Sequence[float]) -> SeqDiagnostic:
-    """Multiplicative supremum characterization: a <= s plus eps-approach."""
+    """Multiplicative supremum characterization: a <= s plus eps-approach.  max(A), the
+    term nearest s, decides both; only its ratio (or the first term above s's) can raise."""
     return _check_extremum(A, s, eps_schedule, supremum=True)
 
 
 def check_infimum(A: Sequence[float], m: float,
                   eps_schedule: Sequence[float]) -> SeqDiagnostic:
-    """Multiplicative infimum characterization: m <= a plus eps-approach."""
+    """Multiplicative infimum characterization: m <= a plus eps-approach.  min(A), the
+    term nearest m, decides both; only its ratio (or the first term below m's) can raise."""
     return _check_extremum(A, m, eps_schedule, supremum=False)
 
 

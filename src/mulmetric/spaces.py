@@ -188,7 +188,7 @@ def function_space(a: float, b: float, n_grid: int = 1024) -> SpaceInstance:
     if not (b > a):
         raise DomainError("need b > a")
     name = f"func-sup[{a},{b}]x{n_grid}"
-    grid = Grid(a + (b - a) * i / (n_grid - 1) for i in range(n_grid))
+    grid = Grid.uniform(a, b, n_grid)
     grid_arr = []  # the grid as a numpy array, made at the first draw
     log_lo, width = _log_uniform(0.1, 10.0)
 

@@ -101,6 +101,17 @@ def test_grid_is_strictly_increasing(abscissae):
         Grid(abscissae)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: spaces.function_space(0.0, 1.0, n_grid=n),
+    lambda n: SampledPosFunction.from_callable(lambda x: 1.0, 0.0, 1.0, n),
+], ids=["function_space", "from_callable"])
+@pytest.mark.parametrize("n", [1, 0])
+def test_a_grid_of_fewer_than_two_points_is_a_shape_error(build, n):
+    # one point would divide by zero when spacing the abscissae
+    with pytest.raises(ShapeError, match="^grid must contain at least two abscissae$"):
+        build(n)
+
+
 def build_every_space_id():
     bounds = {"pos-interval": {"lo": 0.1, "hi": 1.0}}
     return [spaces.build(space_id, **bounds.get(space_id, {})) for space_id in spaces.SPACES]

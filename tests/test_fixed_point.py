@@ -526,6 +526,11 @@ class TestPowerSolve:
         with pytest.raises(InputError):
             power_solve(SQRT, 0, BANACH_HALF, 4.0)
 
+    @pytest.mark.parametrize("kind", ["kannan", "chatterjea"])
+    def test_the_kind_check_names_power_solve(self, kind):
+        with pytest.raises(InputError, match=f"^power_solve requires a banach spec, got {kind}$"):
+            power_solve(SQRT, 2, ContractionSpec(kind, 0.3), 4.0)
+
 
 class TestKannanChatterjea:
     LINE = spaces.real_line_exp()

@@ -481,14 +481,33 @@ def counted(space):
 def assert_matches_the_former_loops(seq, cand, M):
     """The float-sequence diagnostics against their former loops, candidate cand for
     sup and inf (with the diagnose schedule, an empty one and a wide one) and bound M
-    for bw_extract."""
+    for bw_extract.  Where the former check_infimum raised a DomainError, it read every
+    term's ratio, so one other than the smallest could raise: there the outcome must be
+    the former's on [min(seq)], the one term the check reads.  Returns whether that
+    outcome differs from the former's on seq."""
+    mends = False
     for supremum, check in ((True, check_supremum), (False, check_infimum)):
         for schedule in ((2.0, 1.1, 1.001), (), (1e300,)):
-            assert_same_repr(outcome(check, seq, cand, schedule),
-                             outcome(former_check_extremum, seq, cand, schedule, supremum))
+            got = outcome(check, seq, cand, schedule)
+            expected = outcome(former_check_extremum, seq, cand, schedule, supremum)
+            if not supremum and isinstance(expected, tuple) and expected[0] is DomainError:
+                least = outcome(former_check_extremum, [min(seq)], cand, schedule, False)
+                mends |= repr(least) != repr(expected)
+                expected = least
+            assert_same_repr(got, expected)
     assert_same_repr(outcome(monotone_subsequence, seq),
                      outcome(former_monotone_subsequence, seq))
     assert_same_repr(outcome(bw_extract, seq, M), outcome(former_bw_extract, seq, M))
+    return mends
+
+
+def ulp_neighbours(x, k=2):
+    """x and the k floats on either side of it, the positive ones."""
+    near, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        near += [lo, hi]
+    return [v for v in near if v > 0]
 
 
 TIED = [2.0, 2.0, 1.0, 2.0, 3.0, 3.0, 1.0, 3.0]
@@ -561,7 +580,7 @@ class TestFormerLoops:
         units = case[0]
         seq = [math.exp(8.0 * u - 4.0) for u in units]
         for cand in (math.exp(8.0 * at - 4.0), max(seq), min(seq)):
-            assert_matches_the_former_loops(seq, cand, math.exp(spread))
+            assert not assert_matches_the_former_loops(seq, cand, math.exp(spread))
 
     @pytest.mark.parametrize("seq, cand", [
         (TIED, 3.0),
@@ -583,9 +602,29 @@ class TestFormerLoops:
             "ratio-underflows", "ratio-overflows", "every-ratio-overflows", "ratio-nan",
             "infinite-term", "nan-term", "only-nan", "length-1", "length-2-tied",
             "length-2", "ints"])
-    def test_float_cases(self, seq, cand):
+    def test_float_cases(self, request, seq, cand):
+        # only these two raised in the former check_infimum at a term not the smallest
+        mended = request.node.callspec.id in ("ratio-underflows", "infinite-term")
         for M in (4.0, 3.0, 1e300):
-            assert_matches_the_former_loops(seq, cand, M)
+            assert assert_matches_the_former_loops(seq, cand, M) == mended
+
+    def test_infimum_reads_only_its_least_term(self):
+        # 1e-300 / 1e300 underflows to 0 and 1.0 / inf is 0: neither term is the least
+        diag = check_infimum([1e300, 1e-10], 1e-300, (2.0,))
+        assert_same_repr(diag, SeqDiagnostic(
+            False, 0, MulDistance(667.7496769682732),
+            "no element within multiplicative eps=2.0 of inf=1e-300"))
+        assert check_infimum([1.0, math.inf], 1.0, (2.0,)).verdict
+
+    @pytest.mark.parametrize("x", [1.0, 1e300, 1e-300, 2.0**-1022, 2.0**-1074],
+                             ids=["one", "1e300", "1e-300", "least-normal", "least-subnormal"])
+    def test_adjacent_floats(self, x):
+        # terms and candidates one ulp apart: the extreme term's gap is the least one
+        # only if division and log are monotone there
+        near = ulp_neighbours(x)
+        for seq in (near, near[::-1], sorted(near), [near[0], near[-1], near[0]]):
+            for cand in near:
+                assert not assert_matches_the_former_loops(seq, cand, 4.0)
 
 
 class TestSupInfCharacterization:
