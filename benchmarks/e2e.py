@@ -5,7 +5,8 @@
 
 Writes BENCH_e2e.json at the repository root with, for the parent revision
 (exported with `git archive` into a temporary directory) and for this
-working tree:
+working tree (its files that git tracks or would track, copied into another,
+so that no side starts from bytecode left in `__pycache__`):
 
 - `commands`: each CLI command's wall time in milliseconds, one new
   `python -m mulmetric.cli` process per run: `solve`, `estimate` and
@@ -34,7 +35,7 @@ import sys
 import tempfile
 import time
 
-from layers import REGISTRY_IDS, ROOT, export, machine
+from layers import REGISTRY_IDS, ROOT, export, machine, snapshot
 
 # one entry per space id; pos-interval needs its bounds
 SPACE_ARGS = (("pos-reals",), ("pos-interval", "--lo", "0.1", "--hi", "1"),
@@ -69,9 +70,9 @@ def main() -> int:
     parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_e2e.json"))
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as parent:
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
         rev = export(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": parent, "change": snapshot(change)}
         times = {cmd: {side: [] for side in trees} for cmd in COMMANDS}
         outputs, floor = {}, []
         for r in range(ROUNDS):

@@ -35,6 +35,7 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -105,6 +106,8 @@ def probes(mm, tmp: str):
         yield f"spaces/{name}/dist_us", each(sp.dist, pairs), 64
         # a chart space's verify does not grow with n: one call is the unit
         yield f"spaces/{name}/verify_us", each(verify, [(sp, n, 1)]), 1
+    # a second build on the same bounds, as perfbench's set-up leaves its func-sup jobs
+    yield "spaces/func-sup/build_us", each(spaces.build, [("func-sup",)]), 1
     for pid, (probe, argv) in product(REGISTRY_IDS, (
             ("verify_us_per_sample", ["verify", "--out", os.devnull, "--samples"]),
             ("estimate_us_per_pair", ["estimate", "--pairs"]))):
@@ -140,6 +143,15 @@ def probes(mm, tmp: str):
         yield f"cli/{name}/main_us_per_{unit}", each(mm.cli.main, [(argv,)]), len(payload[key])
         yield (f"cli/{name}/dumps_us_per_{unit}", lambda p=payload: json.dumps(p, indent=2),
                len(payload[key]))
+    # the jobs that hold perfbench certify's median: a whole `verify --space` per space
+    for name, (space_id, kw, n) in SPACES.items():
+        flags = [flag for k, v in kw.items()
+                 for flag in (("--complex",) if k == "complex_coords" else (f"--{k}", str(v)))]
+        argv = ["verify", "--space", space_id, *flags, "--samples", str(n), "--seed", "1",
+                "--out", os.path.join(tmp, "space.json")]
+        yield f"cli/verify_space/{name}/main_us", each(mm.cli.main, [(argv,)]), 1
+    proved = verify(spaces.build("pos-reals"), 3000, 1)
+    yield "cli/report_json/proved_us", each(mm.cli.report_json, [(proved,)]), 1
     yield "cli/examples/examples_us", each(quiet, [(mm.cli, ["examples"])]), 1
     # the calls of tests/test_acceptance.py::test_criterion_5_axiom_suite
     suite = [(space, 10**4, 5) for space in (
@@ -210,6 +222,21 @@ def export(rev: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
     return rev
+
+
+def snapshot(dest: str) -> str:
+    """Copy this working tree's files that git tracks or would track into `dest`, and
+    nothing else: a fresh process there compiles the program from source, as in the
+    parent's export, not from bytecode that runs here left in `__pycache__`."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, check=True,
+                            capture_output=True).stdout
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        source, target = os.path.join(ROOT, name), os.path.join(dest, name)
+        if os.path.isfile(source):  # not a tracked file deleted from the working tree
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+    return dest
 
 
 def main() -> int:

@@ -4,8 +4,10 @@
     python benchmarks/perfpairs.py --parent HEAD            # before committing a change
     python benchmarks/perfpairs.py --pairs 10 --workloads certify,refute
 
-Exports the parent revision with `git archive` into a temporary directory and
-runs `perfbench/run.py` in both trees, --pairs pairs per workload: pair i uses
+Exports the parent revision with `git archive` into a temporary directory,
+copies this tree's files that git tracks or would track into another, so
+that neither side starts from bytecode left in `__pycache__`, and runs
+`perfbench/run.py` in both copies, --pairs pairs per workload: pair i uses
 seed i on both sides, and the parent runs first on odd pairs.  Then one traced
 round per side and workload (seed 1, 3 s) gives the per-layer counters.
 
@@ -30,7 +32,7 @@ ROOT = os.path.dirname(HERE)
 sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 
 from compare import run_once, summary  # noqa: E402  (perfbench/compare.py)
-from layers import export, machine  # noqa: E402
+from layers import export, machine, snapshot  # noqa: E402
 
 SIDES = ("parent", "change")
 
@@ -77,9 +79,9 @@ def main() -> int:
     args = parser.parse_args()
     workloads = args.workloads.split(",")
     runs, traced = [], {}
-    with tempfile.TemporaryDirectory() as parent:
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
         rev = export(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": parent, "change": snapshot(change)}
         for workload in workloads:
             for pair in range(1, args.pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]

@@ -61,6 +61,16 @@ def _float(x: float) -> str:
     return text if "n" not in text else json.dumps(x)
 
 
+#: a scalar of exactly one of these types as json writes it; any other, such as a
+#: float or int subclass, or None, by json.dumps
+_SCALARS = {bool: ("false", "true").__getitem__, int: int.__repr__, float: _float,
+            str: _escape}
+
+
+def _scalar(value) -> str:
+    return _SCALARS.get(type(value), json.dumps)(value)
+
+
 #: a trace at depth 0 and one of its steps at depth 2
 _TRACE = ('{\n  "steps": %s,\n  "footer": {\n    "fixed_point": %s,\n    "residual_log": %s,\n'
           '    "iterations": %d,\n    "converged": %s\n  }\n}')
@@ -94,7 +104,7 @@ def trace_json(report: fp.SolverReport) -> str:
                                 _float(s.aposteriori_log)) for s in report.trace], "  ")
     return _TRACE % (steps, _array(reg.encode_point(report.fixed_point), "    "),
                      _float(report.residual_log), report.iterations,
-                     json.dumps(report.converged))
+                     _scalar(report.converged))
 
 
 def _witness_list(key: str, witnesses) -> str:
@@ -114,12 +124,12 @@ def _witness_list(key: str, witnesses) -> str:
 
 def report_json(report) -> str:
     """A verifier report as JSON: its dataclass fields in order, each under its
-    metadata key if it has one, its witnesses as `_witness_list` writes them; byte
-    for byte what `json.dumps(indent=2)` writes."""
+    metadata key if it has one, its witnesses as `_witness_list` writes them and every
+    other field as `_scalar` does; byte for byte what `json.dumps(indent=2)` writes."""
     key, lines = _escape(report.witness_key), []
     for f in dataclasses.fields(report):
         value = getattr(report, f.name)
-        value = _witness_list(key, value) if f.name == "witnesses" else json.dumps(value)
+        value = _witness_list(key, value) if f.name == "witnesses" else _scalar(value)
         lines.append(f'  {_escape(f.metadata.get("key", f.name))}: {value}')
     return "{\n" + ",\n".join(lines) + "\n}"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -95,6 +95,8 @@ class Grid(tuple):
     """A strictly increasing tuple of at least two abscissae, checked once when
     built: functions sampled on one shared Grid skip the check."""
 
+    __slots__ = ()
+
     def __new__(cls, abscissae):
         grid = super().__new__(cls, map(float, abscissae))
         if len(grid) < 2:
@@ -104,8 +106,14 @@ class Grid(tuple):
         return grid
 
     @classmethod
+    @lru_cache(maxsize=8, typed=True)
     def uniform(cls, a: float, b: float, n: int) -> "Grid":
-        """n abscissae evenly spaced from a to b (fewer than two is a ShapeError)."""
+        """n abscissae evenly spaced from a to b (fewer than two is a ShapeError).
+
+        Memoized per process on the 8 latest argument tuples, an int and a float
+        argument apart: equal arguments return the same Grid, so spaces and functions
+        built on equal bounds share one.  A build that raises is not cached, so its
+        checks run on every call.  The arguments must be hashable."""
         last = max(n - 1, 1)  # n = 1 reaches the ShapeError, not a division by zero
         return cls(a + (b - a) * i / last for i in range(n))
 

@@ -175,6 +175,13 @@ def bounded_diagnostic(seq: Sequence, space: SpaceInstance) -> BoundReport:
         raise DomainError(f"the bound M overflows a float: ln M = {float(m_log)!r}") from None
 
 
+def _gap(cand: float, a: float) -> MulDistance:
+    """mabs(cand / a), and an infinite gap where that ratio underflows to 0, as it is
+    where the ratio overflows to inf."""
+    ratio = cand / a
+    return mabs(ratio) if ratio else MulDistance(math.inf)
+
+
 def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[float],
                     supremum: bool) -> SeqDiagnostic:
     if len(A) == 0:
@@ -186,10 +193,10 @@ def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[floa
     word, beyond, extreme = ("sup", gt, max(A)) if supremum else ("inf", lt, min(A))
     if beyond(extreme, cand):
         i = next(compress(count(), map(beyond, A, repeat(cand))))
-        return SeqDiagnostic(False, i, mabs(cand / A[i]),
+        return SeqDiagnostic(False, i, _gap(cand, A[i]),
                              f"element {A[i]} violates the {word} bound {cand}")
     # the least gap (division and log are monotone); an empty schedule never raises on it
-    closest = mabs(cand / extreme) if len(eps_schedule) else None
+    closest = _gap(cand, extreme) if len(eps_schedule) else None
     for k, eps in enumerate(eps_schedule):
         if closest >= math.log(eps):
             return SeqDiagnostic(False, k, closest,
@@ -200,14 +207,16 @@ def _check_extremum(A: Sequence[float], cand: float, eps_schedule: Sequence[floa
 def check_supremum(A: Sequence[float], s: float,
                    eps_schedule: Sequence[float]) -> SeqDiagnostic:
     """Multiplicative supremum characterization: a <= s plus eps-approach.  max(A), the
-    term nearest s, decides both; only its ratio (or the first term above s's) can raise."""
+    term nearest s, decides both; its ratio (or the first term above s's) is an infinite
+    gap where it underflows, and raises only as inf / inf."""
     return _check_extremum(A, s, eps_schedule, supremum=True)
 
 
 def check_infimum(A: Sequence[float], m: float,
                   eps_schedule: Sequence[float]) -> SeqDiagnostic:
     """Multiplicative infimum characterization: m <= a plus eps-approach.  min(A), the
-    term nearest m, decides both; only its ratio (or the first term below m's) can raise."""
+    term nearest m, decides both; its ratio (or the first term below m's) is an infinite
+    gap where it underflows, and raises only as inf / inf."""
     return _check_extremum(A, m, eps_schedule, supremum=False)
 
 

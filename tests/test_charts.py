@@ -112,6 +112,75 @@ def test_a_grid_of_fewer_than_two_points_is_a_shape_error(build, n):
         build(n)
 
 
+def former_uniform(a, b, n):
+    """Grid.uniform's construction without its memo."""
+    last = max(n - 1, 1)
+    return Grid(a + (b - a) * i / last for i in range(n))
+
+
+def hexes(grid) -> list:
+    return [x.hex() for x in grid]
+
+
+def test_functions_on_equal_bounds_share_one_grid():
+    rng = random.Random(0)
+    f, g = (spaces.function_space(-2.0, 3.0).sample(rng) for _ in range(2))
+    h = SampledPosFunction.from_callable(math.exp, -2.0, 3.0)
+    assert f.grid is g.grid is h.grid
+    assert hexes(f.grid) == hexes(former_uniform(-2.0, 3.0, 1024))
+    # an equal grid built apart is still the space's
+    apart = SampledPosFunction(tuple(h.grid), h.values)
+    assert apart.grid is not h.grid
+    assert spaces.function_space(-2.0, 3.0).dist(apart, h) == 0.0
+
+
+@pytest.mark.parametrize("a, b, n", [(0, 3**40, 7), (1, 3, 7), (-0.5, 2, 4)])
+def test_int_and_float_bounds_are_cached_apart(a, b, n):
+    # 3**40 exceeds 2**53: the int grid's products are exact, the float grid's rounded
+    floats = (float(a), float(b), n)
+    assert Grid.uniform(a, b, n) is not Grid.uniform(*floats)
+    assert Grid.uniform(a, b, n) is Grid.uniform(a, b, n)
+    assert hexes(Grid.uniform(a, b, n)) == hexes(former_uniform(a, b, n))
+    assert hexes(Grid.uniform(*floats)) == hexes(former_uniform(*floats))
+    assert (hexes(Grid.uniform(a, b, n)) == hexes(Grid.uniform(*floats))) == (b != 3**40)
+
+
+@pytest.mark.parametrize("a, b", [(-0.0, 1.0), (-1.0, -0.0)])
+def test_a_signed_zero_bound_gives_the_unsigned_grid(a, b):
+    # -0.0 == 0.0 share a memo entry; their grids are equal bit for bit either way
+    unsigned = (a + 0.0, b + 0.0, 5)  # -0.0 + 0.0 is 0.0
+    for first in ((a, b, 5), unsigned):
+        Grid.uniform.cache_clear()
+        Grid.uniform(*first)
+        assert hexes(Grid.uniform(a, b, 5)) == hexes(former_uniform(a, b, 5))
+        assert hexes(Grid.uniform(*unsigned)) == hexes(former_uniform(*unsigned))
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: spaces.function_space(0.0, math.inf), DomainError, "strictly increasing"),
+    (lambda: spaces.function_space(1e300, 1.0000000000001e300), DomainError,
+     "strictly increasing"),
+    (lambda: spaces.function_space(0.0, 1.0, n_grid=1), ShapeError, "at least two"),
+    (lambda: SampledPosFunction.from_callable(math.exp, 0.0, 1.0, 1), ShapeError,
+     "at least two"),
+], ids=["infinite-bound", "too-narrow", "one-point", "one-point-function"])
+def test_a_grid_that_raises_raises_on_every_call(build, error, text):
+    held = Grid.uniform.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(error, match=text):
+            build()
+    assert Grid.uniform.cache_info().currsize == held
+
+
+def test_the_grid_memo_holds_at_most_its_constant_size():
+    assert Grid.uniform.cache_info().maxsize == 8
+    grids = [Grid.uniform(0.0, float(k), 3) for k in range(1, 21)]
+    assert Grid.uniform.cache_info().currsize == 8
+    # the latest eight are held, the earlier ones built anew
+    assert Grid.uniform(0.0, 20.0, 3) is grids[-1]
+    assert Grid.uniform(0.0, 1.0, 3) is not grids[0] and Grid.uniform(0.0, 1.0, 3) == grids[0]
+
+
 def build_every_space_id():
     bounds = {"pos-interval": {"lo": 0.1, "hi": 1.0}}
     return [spaces.build(space_id, **bounds.get(space_id, {})) for space_id in spaces.SPACES]

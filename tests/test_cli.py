@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -568,13 +569,31 @@ WITNESSES = st.lists(st.builds(
     Witness, st.sampled_from(["m1", "m2", "m3", "reverse"]),
     st.lists(TRACE_POINTS | st.integers(), max_size=3).map(tuple),
     st.lists(FLOATS, max_size=3).map(tuple)), max_size=3)
+
+
+class Count(enum.IntEnum):
+    """An int subclass in a count's place: json writes it as its int."""
+    NONE = 0
+    SOME = 7
+
+
+#: a report's scalar fields beyond their usual types: float subclasses (np.float64,
+#: MulDistance) for its floats, a bool or an IntEnum for its counts, any text for its
+#: kind, and texts that json must escape
+REPORT_FLOATS = (FLOATS | FLOATS.map(np.float64)
+                 | st.floats(min_value=0.0).map(MulDistance))
+REPORT_COUNTS = COUNTS | st.booleans() | st.sampled_from(Count)
+REPORT_TEXTS = (st.sampled_from(fp.KINDS) | st.text()
+                | st.text(st.sampled_from('"\\%/\n\x00\x7f\u00e9\u2713\U0001f600a')))
 REPORTS = (
     st.builds(SolverReport, TRACE_POINTS, FLOATS, COUNTS, st.booleans(), st.lists(
         st.builds(TraceStep, COUNTS, TRACE_POINTS, FLOATS, FLOATS, FLOATS), max_size=3))
     | st.builds(AxiomReport, st.booleans(), st.booleans(), st.booleans(), st.booleans(),
-                WITNESSES, COUNTS, st.integers(), FLOATS)
-    | st.builds(ContractionReport, st.sampled_from(fp.KINDS), FLOATS, st.booleans(),
-                WITNESSES, COUNTS, st.integers(), FLOATS))
+                WITNESSES, REPORT_COUNTS, st.integers() | REPORT_COUNTS, REPORT_FLOATS,
+                st.booleans())
+    | st.builds(ContractionReport, REPORT_TEXTS, REPORT_FLOATS, st.booleans(),
+                WITNESSES, REPORT_COUNTS, st.integers() | REPORT_COUNTS, REPORT_FLOATS,
+                st.booleans()))
 
 
 AXIOMS_AND_KINDS = ("m1", "m2", "m3", "reverse", *fp.KINDS)
@@ -638,6 +657,7 @@ class TestWriter:
         "h\u00e9llo \u2713 \"q\"\n\t", {"cl\u00e9": "\U0001f600"},
         ListSubclass([1.0, ListSubclass()]), DictSubclass(a=DictSubclass(), b=[2.0]),
         StrSubclass("s"), {StrSubclass("k"): StrSubclass("v")},
+        '50% \\"%s\\', MulDistance(0.25), MulDistance(math.inf), Count.SOME,
     ])
     def test_leaves_and_edge_cases(self, value):
         # the value as a witness's points and values (a container's items); a scalar
@@ -713,6 +733,12 @@ class TestWriter:
                      Witness(axiom, (1.5, 2.5, 3.5), ())]
         written(axiom_report(*witnesses))
         written(ContractionReport(axiom, 0.5, False, witnesses, 3, 0, 1e-10))
+
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_trace_footer_converged(self, converged):
+        step = TraceStep(0, 2.5, 0.5, 1.0, 0.5)
+        text = written(SolverReport(2.5, 1e-13, 1, converged, [step]))
+        assert text.endswith(f'"converged": {"true" if converged else "false"}\n  }}\n}}')
 
     @pytest.mark.parametrize("n_steps", [0, 1, 500])
     def test_float_traces(self, n_steps):

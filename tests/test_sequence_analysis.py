@@ -478,22 +478,41 @@ def counted(space):
     return dataclasses.replace(space, dist=lambda a, b: space.dist(a, b))
 
 
+#: what the former checks raised where the one ratio they read underflowed to 0
+ZERO_RATIO = (DomainError, "mabs requires a > 0, got 0.0")
+
+
+def underflowed(seq, cand, schedule, supremum):
+    """The failed verdict of a check whose one ratio underflowed, with an infinite gap:
+    a sup's first term above cand (a term below it cannot underflow), an inf's least
+    term at the schedule's first eps (a term above it cannot underflow)."""
+    if supremum:
+        i = next(i for i, a in enumerate(seq) if a > cand)
+        return SeqDiagnostic(False, i, MulDistance(math.inf),
+                             f"element {seq[i]} violates the sup bound {cand}")
+    return SeqDiagnostic(False, 0, MulDistance(math.inf),
+                         f"no element within multiplicative eps={schedule[0]} of inf={cand}")
+
+
 def assert_matches_the_former_loops(seq, cand, M):
     """The float-sequence diagnostics against their former loops, candidate cand for
     sup and inf (with the diagnose schedule, an empty one and a wide one) and bound M
-    for bw_extract.  Where the former check_infimum raised a DomainError, it read every
-    term's ratio, so one other than the smallest could raise: there the outcome must be
-    the former's on [min(seq)], the one term the check reads.  Returns whether that
-    outcome differs from the former's on seq."""
+    for bw_extract.  Two exceptions: where the former check_infimum raised a
+    DomainError, it read every term's ratio, so one other than the smallest could
+    raise: there the outcome must be the former's on [min(seq)], the one term the check
+    reads; and where that one ratio underflowed to 0 (ZERO_RATIO), the outcome must be
+    the failed verdict with an infinite gap (`underflowed`).  Returns whether an
+    exception changed an outcome from the former's on seq."""
     mends = False
     for supremum, check in ((True, check_supremum), (False, check_infimum)):
         for schedule in ((2.0, 1.1, 1.001), (), (1e300,)):
             got = outcome(check, seq, cand, schedule)
-            expected = outcome(former_check_extremum, seq, cand, schedule, supremum)
+            former = expected = outcome(former_check_extremum, seq, cand, schedule, supremum)
             if not supremum and isinstance(expected, tuple) and expected[0] is DomainError:
-                least = outcome(former_check_extremum, [min(seq)], cand, schedule, False)
-                mends |= repr(least) != repr(expected)
-                expected = least
+                expected = outcome(former_check_extremum, [min(seq)], cand, schedule, False)
+            if expected == ZERO_RATIO:
+                expected = underflowed(seq, cand, schedule, supremum)
+            mends |= repr(expected) != repr(former)
             assert_same_repr(got, expected)
     assert_same_repr(outcome(monotone_subsequence, seq),
                      outcome(former_monotone_subsequence, seq))
@@ -590,6 +609,7 @@ class TestFormerLoops:
         ([1e300, 1e-10], 1e-300),
         ([1e-300, 1.0], 1e300),
         ([1e-300], 1e300),
+        ([1e300], 1e-300),
         ([math.inf], math.inf),
         ([1.0, math.inf], 1.0),
         ([2.0, math.nan, 1.0], 2.0),
@@ -599,12 +619,16 @@ class TestFormerLoops:
         ([2.0, 1.0], 1.5),
         ([1, 2, 3], 3),
     ], ids=["ties-at-max", "ties-at-min", "term-equals-sup", "term-equals-inf",
-            "ratio-underflows", "ratio-overflows", "every-ratio-overflows", "ratio-nan",
+            "ratio-underflows", "ratio-overflows", "every-ratio-overflows",
+            "every-ratio-underflows", "ratio-nan",
             "infinite-term", "nan-term", "only-nan", "length-1", "length-2-tied",
             "length-2", "ints"])
     def test_float_cases(self, request, seq, cand):
-        # only these two raised in the former check_infimum at a term not the smallest
-        mended = request.node.callspec.id in ("ratio-underflows", "infinite-term")
+        # only these raised in the former checks: at a term check_infimum no longer
+        # reads (ratio-underflows, infinite-term), or at a ratio that underflows
+        # (ratio-underflows, every-ratio-underflows)
+        mended = request.node.callspec.id in ("ratio-underflows", "infinite-term",
+                                              "every-ratio-underflows")
         for M in (4.0, 3.0, 1e300):
             assert assert_matches_the_former_loops(seq, cand, M) == mended
 
@@ -615,6 +639,21 @@ class TestFormerLoops:
             False, 0, MulDistance(667.7496769682732),
             "no element within multiplicative eps=2.0 of inf=1e-300"))
         assert check_infimum([1.0, math.inf], 1.0, (2.0,)).verdict
+
+    def test_an_underflowing_ratio_is_an_infinite_gap(self):
+        # 1e-300 / 1e300 underflows to 0 where 1e300 / 1e-300 overflows to inf: either
+        # way the check fails with an infinite gap, at the violating term (a sup's
+        # underflows) or at the first eps (an inf's underflows)
+        inf = MulDistance(math.inf)
+        for check, word, beyond in ((check_supremum, "sup", 1e300),
+                                    (check_infimum, "inf", 1e-300)):
+            assert_same_repr(check([1 / beyond, beyond], 1 / beyond, (2.0,)), SeqDiagnostic(
+                False, 1, inf, f"element {beyond} violates the {word} bound {1 / beyond}"))
+            assert_same_repr(check([1 / beyond], beyond, (2.0, 1.1)), SeqDiagnostic(
+                False, 0, inf, f"no element within multiplicative eps=2.0 of {word}={beyond}"))
+        # the one raise left: the ratio of two infinities is NaN
+        with pytest.raises(DomainError):
+            check_supremum([math.inf], math.inf, (2.0,))
 
     @pytest.mark.parametrize("x", [1.0, 1e300, 1e-300, 2.0**-1022, 2.0**-1074],
                              ids=["one", "1e300", "1e-300", "least-normal", "least-subnormal"])
